@@ -53,11 +53,17 @@ def _word_alphabet(text: str, extra: str = "") -> Alphabet:
 
 def _load_json_arg(text: str) -> dict:
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            with open(text, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise Error(f"cannot read JSON file {text}: {exc}") from None
     stripped = text.strip()
     if stripped.startswith("{"):
-        return json.loads(stripped)
+        try:
+            return json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise Error(f"malformed inline JSON: {exc}") from None
     raise Error(f"expected a JSON file or inline JSON object, got {text!r}")
 
 

@@ -3,8 +3,8 @@
 A system is handed to the verifiers as a language source: either a
 primitive substitution (windows come from its periodic seeds and blocks
 from its language) or an explicit provider of windows and block sets.  All
-checks are finite: they test every sampled window out to a radius plus
-every language block of matching length.
+checks are finite: they test every sampled window out to a radius R plus
+every language block of length 2R.
 
 A Toeplitz certificate (k, C0, C1) asserts that every point of the system
 splits at exactly one bilateral phase into the 2**k-blocks C0 and C1, and
@@ -20,18 +20,29 @@ nearest-neighbor table: C1,C1 -> C0; C0,C0 -> C1; C1,C0 -> C0'; C0,C1 ->
 C1'.  Gap tokens are recoded by their neighbor-table identity rather than
 by raw block value, since C0' or C1' may coincide with C0 or C1.
 
-The searches enumerate candidate block tuples over language blocks in
-lexicographic order and return the first certificate that verifies, hence
-the least one.  ``derive_substitution`` runs the constructive direction:
-from a block rule realizing a conjugacy onto an r-fold self-similar image
-it builds the induced substitution on higher-block letters.
+Verification tiles each covering word of the 2R-blocks (sigma**m(ab) for
+each 2-block ab, or each block of an explicit source) once per phase and
+passes every 2R-window lying on exactly one pattern-free run of
+certificate tiles; only the other windows are parsed one by one, in sorted
+order, so a rejection still names the least failing block.  Searches
+derive candidates from the first sampled window, which any accepted
+certificate must parse: C0/C1 from the (carrier) tiles of a phase, C0'/C1'
+from its gaps by the neighbor table, open slots from the language blocks.
+As the derived set holds every certificate that can be accepted, verifying
+it in lexicographic order still returns the least certificate.
+
+``derive_substitution`` runs the constructive direction: from a block rule
+realizing a conjugacy onto an r-fold self-similar image it builds the
+induced substitution on higher-block letters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import accumulate, product
+from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 from .errors import (
     CapacityError,
@@ -45,13 +56,8 @@ from .errors import (
 from .graphs import build_graph
 from .patterns import find_even_square, find_overlap
 from .sliding import LocalRule
-from .substitution import (
-    MORSE,
-    Substitution,
-    TOEPLITZ,
-    system_seeds,
-)
-from .words import Alphabet, BINARY, Window, Word
+from .substitution import MORSE, TOEPLITZ, Substitution, system_seeds
+from .words import Alphabet, BINARY, Window, Word, phase_tokens, tile_phases
 
 # failure reasons reported by the verifiers
 NO_PHASE = "no_phase"
@@ -64,40 +70,34 @@ _TOKEN_SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz
 
 #: Token alphabet of Morse parses: 0 = C0, 1 = C1, a = C0', b = C1'.
 MORSE_TOKENS = Alphabet(("0", "1", "a", "b"))
-MORSE_TOKEN_NAMES = ("C0", "C1", "C0'", "C1'")
 
 #: The six ordered token pairs that may appear in an accepted Morse parse,
 #: as identity indices: C0C1, C0C1', C1C0, C1C0', C0'C0, C1'C1.
-MORSE_ALLOWED_PAIRS = frozenset(
-    {(0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1)}
-)
-
-# nearest neighbor table: (left carrier, right carrier) -> (identity, block attr)
-_GAP_TABLE = {
-    (1, 1): (0, "c0"),
-    (0, 0): (1, "c1"),
-    (1, 0): (2, "c0p"),
-    (0, 1): (3, "c1p"),
-}
+MORSE_ALLOWED_PAIRS = frozenset({(0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1)})
 
 
 # -- certificates ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ToeplitzCertificate:
+class _Certificate:
+    """Scale k and the 2**k-blocks of a certificate, C0 and C1 first."""
+
     k: int
-    c0: Word
-    c1: Word
 
     def __post_init__(self) -> None:
         if self.k < 0:
             raise DomainError("certificate scale k must be >= 0")
-        span = 1 << self.k
-        if len(self.c0) != span or len(self.c1) != span:
-            raise DomainError(f"certificate blocks must have length 2**k = {span}")
-        if self.c0.alphabet != self.c1.alphabet:
-            raise DomainError("certificate blocks must share one alphabet")
+        span = self.span
+        for block in self.blocks:
+            if len(block) != span:
+                raise DomainError(f"certificate blocks must have length 2**k = {span}")
+            if block.alphabet != self.blocks[0].alphabet:
+                raise DomainError("certificate blocks must share one alphabet")
+
+    @property
+    def blocks(self) -> tuple[Word, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
 
     @property
     def span(self) -> int:
@@ -105,44 +105,23 @@ class ToeplitzCertificate:
 
 
 @dataclass(frozen=True)
-class MorseCertificate:
-    k: int
+class ToeplitzCertificate(_Certificate):
+    c0: Word
+    c1: Word
+
+
+@dataclass(frozen=True)
+class MorseCertificate(_Certificate):
     c0: Word
     c1: Word
     c0p: Word
     c1p: Word
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise DomainError("certificate scale k must be >= 0")
-        span = 1 << self.k
-        for block in (self.c0, self.c1, self.c0p, self.c1p):
-            if len(block) != span:
-                raise DomainError(f"certificate blocks must have length 2**k = {span}")
-            if block.alphabet != self.c0.alphabet:
-                raise DomainError("certificate blocks must share one alphabet")
-
-    @property
-    def span(self) -> int:
-        return 1 << self.k
-
 
 def certificate_to_json(cert: ToeplitzCertificate | MorseCertificate) -> dict:
-    if isinstance(cert, ToeplitzCertificate):
-        return {
-            "kind": "toeplitz",
-            "k": cert.k,
-            "C0": cert.c0.text,
-            "C1": cert.c1.text,
-        }
-    return {
-        "kind": "morse",
-        "k": cert.k,
-        "C0": cert.c0.text,
-        "C1": cert.c1.text,
-        "C0p": cert.c0p.text,
-        "C1p": cert.c1p.text,
-    }
+    kind = "toeplitz" if isinstance(cert, ToeplitzCertificate) else "morse"
+    blocks = zip(("C0", "C1", "C0p", "C1p"), cert.blocks)
+    return {"kind": kind, "k": cert.k} | {key: b.text for key, b in blocks}
 
 
 def certificate_from_json(
@@ -151,14 +130,11 @@ def certificate_from_json(
     try:
         kind = payload["kind"]
         k = int(payload["k"])
-        c0 = alphabet.word(str(payload["C0"]))
-        c1 = alphabet.word(str(payload["C1"]))
-        if kind == "toeplitz":
-            return ToeplitzCertificate(k, c0, c1)
-        if kind == "morse":
-            c0p = alphabet.word(str(payload["C0p"]))
-            c1p = alphabet.word(str(payload["C1p"]))
-            return MorseCertificate(k, c0, c1, c0p, c1p)
+        keys = ("C0", "C1", "C0p", "C1p")[: 4 if kind == "morse" else 2]
+        blocks = [alphabet.word(str(payload[key])) for key in keys]
+        if kind in ("toeplitz", "morse"):
+            cls = ToeplitzCertificate if kind == "toeplitz" else MorseCertificate
+            return cls(k, *blocks)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed certificate payload: {exc}") from None
     raise DomainError(f"unknown certificate kind {kind!r}")
@@ -255,22 +231,7 @@ def as_source(lang) -> LanguageSource:
     raise DomainError("expected a Substitution or a window/block provider")
 
 
-# -- tiling ---------------------------------------------------------------
-
-
-def _tile_runs(win: Window, span: int):
-    """Yield (phase, start, tiles) for every bilateral residue with a run
-    of at least 3 full tiles inside the window."""
-    data = win.word.letters
-    lo, hi = win.start, win.stop
-    for j in range(span):
-        t0 = lo + ((j - lo) % span)
-        count = (hi - t0) // span
-        if count < 3:
-            continue
-        off = t0 - lo
-        tiles = [data[off + i * span : off + (i + 1) * span] for i in range(count)]
-        yield j, t0, tiles
+# -- parsing --------------------------------------------------------------
 
 
 def parse_phases(
@@ -284,10 +245,7 @@ def parse_phases(
     """
     if isinstance(blocks, (set, frozenset)):
         blocks = sorted(blocks)
-    ordered: list[Word] = []
-    for b in blocks:
-        if b not in ordered:
-            ordered.append(b)
+    ordered = list(dict.fromkeys(blocks))
     if len(ordered) < 2:
         raise DomainError("need at least two distinct blocks")
     if any(len(b) != span for b in ordered):
@@ -300,54 +258,235 @@ def parse_phases(
         )
     token_alphabet = Alphabet(tuple(_TOKEN_SYMBOLS[: len(ordered)]))
     index = {b.letters: i for i, b in enumerate(ordered)}
-    out = []
-    for j, t0, tiles in _tile_runs(win, span):
-        toks = bytearray()
-        for t in tiles:
-            letter = index.get(t)
-            if letter is None:
-                break
-            toks.append(letter)
-        else:
-            out.append(PhaseParse(j, t0, Word(token_alphabet, bytes(toks))))
+    return [
+        PhaseParse(j, t0, Word(token_alphabet, bytes(toks)))
+        for j, t0, toks in phase_tokens(win, span, index)
+        if None not in toks
+    ]
+
+
+# -- certificate kinds ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Carriers sit every ``stride`` tiles: every tile for Toeplitz, every
+    other tile for Morse, whose gaps follow the neighbor table.  ``pattern``
+    scans the carrier letters (C0 = 0, C1 = 1); a Toeplitz parse holding
+    the pattern fails its window, a Morse one is merely not eligible."""
+
+    name: str
+    certificate: type
+    slots: int
+    stride: int
+    pattern: Callable
+    tokens: Alphabet
+    target: Substitution
+
+
+_EVEN_SQUARE = partial(find_even_square, zero=0)
+_TOEPLITZ = _Kind("toeplitz", ToeplitzCertificate, 2, 1, _EVEN_SQUARE, BINARY, TOEPLITZ)
+_MORSE = _Kind("morse", MorseCertificate, 4, 2, find_overlap, MORSE_TOKENS, MORSE)
+
+#: Gap identity between two carrier letters; also the bit of the block the
+#: gap must equal in a tile code (bit 0 C0, 1 C1, 2 C0', 3 C1').
+_GAP_IDENTITY = {(1, 1): 0, (0, 0): 1, (1, 0): 2, (0, 1): 3}
+
+# depth of a parse check: 0 short run, 1 foreign carrier, 2 pattern, 3 gap
+# rule, 4 eligible; a window with no eligible parse fails at the deepest one
+_DEPTH_REASON = (NO_PHASE, TOKEN_PATTERN, TOKEN_PATTERN, GAP_RULE)
+
+
+def _codes(cert) -> dict[bytes, int]:
+    """Tile -> bit set of the certificate blocks it equals."""
+    bits = list(enumerate(cert.blocks))
+    return {b.letters: sum(1 << i for i, c in bits if c == b) for _, b in bits}
+
+
+def _run(toks: list, i0: int, stride: int) -> list:
+    """Tokens from carrier position i0 to the last carrier position."""
+    return toks[i0 : i0 + (len(toks) - i0 - 1) // stride * stride + 1]
+
+
+def _conditions(kind: _Kind, run: list) -> tuple[int, bytes]:
+    """Depth reached on a run of tile codes from carrier to carrier, and
+    its parse tokens, gap tokens being neighbor-table identities."""
+    if len(run) < 3:
+        return 0, b""
+    carriers = run[:: kind.stride]
+    if not all(c & 3 for c in carriers):
+        return 1, b""
+    letters = bytes(0 if c & 1 else 1 for c in carriers)
+    if kind.pattern(Word(BINARY, letters)) is not None:
+        return 2, letters
+    if kind is _TOEPLITZ:
+        return 4, letters
+    gaps = bytes(_GAP_IDENTITY[pair] for pair in zip(letters, letters[1:]))
+    if not all(code >> gap & 1 for code, gap in zip(run[1::2], gaps)):
+        return 3, b""
+    tokens = bytearray(run)
+    tokens[::2], tokens[1::2] = letters, gaps
+    return 4, bytes(tokens)
+
+
+def _evaluate(kind: _Kind, cert, phases, label: str):
+    """Failure reason of one window, or the parse it is accepted with."""
+    depth, entries = 0, []
+    for j, t0, toks in phases:
+        for parity in range(kind.stride) if all(toks) else ():
+            i0 = ((t0 - j) // cert.span - parity) % kind.stride
+            d, tokens = _conditions(kind, _run(toks, i0, kind.stride))
+            depth = max(depth, d)
+            if d == 4 or (d == 2 and kind is _TOEPLITZ):
+                mark = parity if kind is _MORSE else None
+                tokens = Word(kind.tokens, tokens)
+                start = t0 + i0 * cert.span
+                entries.append((d, PhaseParse(j, start, tokens, mark, label)))
+    if not entries:
+        return _DEPTH_REASON[depth], None
+    long_entries = [e for _, e in entries if len(e.tokens) >= 4]
+    if len(long_entries) > 1:
+        return MULTIPLE_PHASES, None
+    if any(d < 4 for d, _ in entries):
+        return TOKEN_PATTERN, None
+    return None, long_entries[0] if long_entries else entries[0][1]
+
+
+def _segments(kind: _Kind, toks: list[int]):
+    """Per carrier parity, the maximal runs [lo, hi) of one row of tile codes
+    (0 off the certificate) with C0/C1 carriers and gaps that follow the
+    neighbor table, widened by a certificate tile on each side for a window
+    to trim away, and their carrier letters."""
+    s, n = kind.stride, len(toks)
+    toks = toks + [0] * s
+    for first_carrier in range(s):
+        first = last = -1
+        for c in range(first_carrier, n + s, s):
+            code = toks[c]
+            letter = 0 if code & 1 else 1
+            if first >= 0 and code & 3 and (
+                s == 1 or toks[c - 1] >> _GAP_IDENTITY[letters[-1], letter] & 1
+            ):
+                letters.append(letter)
+                last = c
+                continue
+            if first >= 0:
+                lo, hi = first - (toks[first - 1] > 0), last + 1 + (toks[last + 1] > 0)
+                yield lo, hi, bytes(letters)
+            first = last = c if code & 3 else -1
+            letters = bytearray((letter,))
+
+
+def _candidates(kind: _Kind, phases, tiles: list[bytes], blocks: set[bytes]) -> set:
+    """Block tuples that parse the reference window at some phase and
+    parity: C0 and C1 hold the carrier tiles, each gap fixes the slot the
+    neighbor table names, and a slot no tile fixes ranges over ``blocks``."""
+    out = set()
+    for _, _, row in phases:
+        for i0 in range(kind.stride):
+            run = [tiles[i] for i in _run(row, i0, kind.stride)]
+            if len(run) < 3:
+                continue
+            carriers = run[:: kind.stride]
+            seen = set(carriers)  # {C0, C1} holds it; one tile leaves C1 or C0 open
+            pool = seen | blocks if len(seen) == 1 else seen if len(seen) == 2 else ()
+            for c0, c1 in product(pool, repeat=2):
+                if c0 == c1 or not seen <= {c0, c1}:
+                    continue
+                letters = bytes(0 if t == c0 else 1 for t in carriers)
+                if kind.pattern(Word(BINARY, letters)) is not None:
+                    continue
+                slots = [c0, c1] + [None] * (kind.slots - 2)
+                for i in range(1, len(run), 2) if kind is _MORSE else ():
+                    slot = _GAP_IDENTITY[letters[i // 2], letters[i // 2 + 1]]
+                    if slots[slot] not in (None, run[i]):
+                        break
+                    slots[slot] = run[i]
+                else:
+                    out.update(product(*(blocks if b is None else [b] for b in slots)))
     return out
 
 
-# -- Toeplitz verification ------------------------------------------------
+# -- verification --------------------------------------------------------
 
 
-def _toeplitz_eval_window(
-    label: str, win: Window, cert: ToeplitzCertificate
-) -> tuple[str | None, PhaseParse | None]:
-    span = cert.span
-    index = {cert.c0.letters: 0, cert.c1.letters: 1}
-    parses = []
-    for j, t0, tiles in _tile_runs(win, span):
-        toks = bytearray()
-        for t in tiles:
-            letter = index.get(t)
-            if letter is None:
+class _Checker:
+    """Checks certificates of one kind, span and radius R on one source,
+    tiling its sampled windows and covering words once for all of them."""
+
+    def __init__(self, kind: _Kind, source: LanguageSource, span: int, radius: int):
+        self.kind, self.source, self.span, self.radius = kind, source, span, radius
+        self.ids: dict[bytes, int] = {}
+        self.samples = [
+            (label, tile_phases(win, span, self.ids))
+            for label, win in source.sample_windows(radius)
+        ]
+        n = 2 * radius
+        if isinstance(source, SubstitutionSource):
+            words = source.substitution.covering_words(n)
+        else:  # each block covers itself; other lengths are checked alone
+            words = source.blocks(n) or ()
+        tiled = [tile_phases(Window(w, 0), span, self.ids) for w in words]
+        self.covers = [(w.letters, phases) for w, phases in zip(words, tiled)]
+
+    def verdict(self, cert) -> ParseVerdict:
+        kind, radius = self.kind, self.radius
+        codes = _codes(cert)
+        table = [codes.get(t, 0) for t in self.ids]
+        entries = []
+        for label, phases in self.samples:
+            toks = [(j, t0, [table[i] for i in row]) for j, t0, row in phases]
+            reason, entry = _evaluate(kind, cert, toks, label)
+            if reason is not None:
                 break
-            toks.append(letter)
+            entries.append(entry)
         else:
-            parses.append(PhaseParse(j, t0, Word(BINARY, bytes(toks)), window=label))
-    if not parses:
-        return NO_PHASE, None
-    long_parses = [p for p in parses if len(p.tokens) >= 4]
-    if len(long_parses) > 1:
-        return MULTIPLE_PHASES, None
-    for p in parses:
-        if find_even_square(p.tokens, 0) is not None:
-            return TOKEN_PATTERN, None
-    chosen = long_parses[0] if long_parses else parses[0]
-    return None, chosen
+            reason, label = self._failing_block(cert, codes, table)
+        if reason is not None:
+            return ParseVerdict(False, (), reason, kind.name, radius, label)
+        return ParseVerdict(True, tuple(entries), None, kind.name, radius)
+
+    def _failing_block(self, cert, codes, table) -> tuple[str | None, str]:
+        """Reason and label of the least failing 2R-block.
+
+        The 2R-window at s of a covering word lies in the segment [p, q) of
+        residue j iff j + (p-1)*span < s < j + (q+1)*span - 2R.  A window in
+        exactly one segment, whose letters are free of the pattern, passes:
+        its own letters are a factor of those, and 2R >= 6*span letters hold
+        5 tiles at any phase, so a Morse run keeps 3 after trimming.  Every
+        other window is evaluated on its own, in sorted order."""
+        kind, span, n = self.kind, self.span, 2 * self.radius
+        suspects = set()
+        for data, phases in self.covers:
+            windows = len(data) - n + 1
+            if windows != 1 and not isinstance(self.source, SubstitutionSource):
+                suspects.add(data)
+                continue
+            total, dirty = [0] * (windows + 1), [0] * (windows + 1)
+            for j, _, row in phases:
+                for p, q, letters in _segments(kind, [table[i] for i in row]):
+                    lo = max(j + (p - 1) * span + 1, 0)
+                    hi = min(j + (q + 1) * span - n, windows)
+                    if lo < hi:
+                        total[lo] += 1
+                        total[hi] -= 1
+                        if kind.pattern(Word(BINARY, letters), max_len=len(letters)):
+                            dirty[lo] += 1
+                            dirty[hi] -= 1
+            for s, t, d in zip(range(windows), accumulate(total), accumulate(dirty)):
+                if t != 1 or d:
+                    suspects.add(data[s : s + n])
+        for data in sorted(suspects):
+            win = Window(Word(self.source.alphabet, data), len(data) // 2)
+            reason, _ = _evaluate(kind, cert, phase_tokens(win, span, codes), "")
+            if reason is not None:
+                ordered = sorted(self.source.blocks(n))
+                i = bisect_left([b.letters for b in ordered], data)
+                return reason, f"block[{i}]:{ordered[i].text}"
+        return None, ""
 
 
-def verify_toeplitz_certificate(
-    lang, cert: ToeplitzCertificate, radius: int | None = None
-) -> ParseVerdict:
-    """Check a Toeplitz certificate on every sampled window and every
-    language block of matching length."""
+def _verify(kind: _Kind, lang, cert, radius: int | None) -> ParseVerdict:
     source = as_source(lang)
     span = cert.span
     if radius is None:
@@ -356,113 +495,17 @@ def verify_toeplitz_certificate(
         raise RangeError(f"radius {radius} below 3 tiles of {span}")
     if cert.c0 == cert.c1:
         return ParseVerdict(
-            False, (), BLOCKS_EQUAL, "toeplitz", radius, "C0 and C1 coincide"
+            False, (), BLOCKS_EQUAL, kind.name, radius, "C0 and C1 coincide"
         )
-    entries = []
-    for label, win in _test_windows(source, radius):
-        reason, entry = _toeplitz_eval_window(label, win, cert)
-        if reason is not None:
-            return ParseVerdict(False, (), reason, "toeplitz", radius, label)
-        if entry is not None and not label.startswith("block"):
-            entries.append(entry)
-    return ParseVerdict(True, tuple(entries), None, "toeplitz", radius)
+    return _Checker(kind, source, span, radius).verdict(cert)
 
 
-def _test_windows(source: LanguageSource, radius: int):
-    yield from source.sample_windows(radius)
-    blocks = source.blocks(2 * radius)
-    if blocks:
-        for i, b in enumerate(sorted(blocks)):
-            yield f"block[{i}]:{b.text}", Window(b, len(b) // 2)
-
-
-# -- Morse verification ---------------------------------------------------
-
-_DEPTH_NONE = 0
-_DEPTH_MEMBER = 1
-_DEPTH_OVERLAP = 2
-_DEPTH_GAP = 3
-
-_DEPTH_REASON = {
-    _DEPTH_NONE: NO_PHASE,
-    _DEPTH_MEMBER: TOKEN_PATTERN,
-    _DEPTH_OVERLAP: TOKEN_PATTERN,
-    _DEPTH_GAP: GAP_RULE,
-}
-
-
-def _morse_conditions(
-    cert: MorseCertificate,
-    j: int,
-    t0: int,
-    tiles: list[bytes],
-    parity: int,
-    span: int,
-    label: str,
-) -> tuple[int, PhaseParse | None]:
-    """Evaluate the parity and gap conditions on one raw parse.
-
-    Trims the run so it starts and ends on a carrier position, so every
-    gap has both neighbors.  Returns the depth the check reached and, when
-    everything holds, the phase entry with identity tokens."""
-    c0b, c1b = cert.c0.letters, cert.c1.letters
-    abs0 = (t0 - j) // span
-    i0 = 0 if abs0 % 2 == parity else 1
-    i1 = len(tiles) - 1
-    if (abs0 + i1) % 2 != parity:
-        i1 -= 1
-    if i1 - i0 + 1 < 3:
-        return _DEPTH_NONE, None
-    run = tiles[i0 : i1 + 1]
-    start = t0 + i0 * span
-    carriers = run[0::2]
-    letters = []
-    for t in carriers:
-        if t == c0b:
-            letters.append(0)
-        elif t == c1b:
-            letters.append(1)
-        else:
-            return _DEPTH_MEMBER, None
-    if find_overlap(Word(BINARY, bytes(letters))) is not None:
-        return _DEPTH_OVERLAP, None
-    identities = bytearray(len(run))
-    for i, letter in enumerate(letters):
-        identities[2 * i] = letter
-    for i in range(len(letters) - 1):
-        left, right = letters[i], letters[i + 1]
-        identity, attr = _GAP_TABLE[(left, right)]
-        expected: Word = getattr(cert, attr)
-        if run[2 * i + 1] != expected.letters:
-            return _DEPTH_GAP, None
-        identities[2 * i + 1] = identity
-    entry = PhaseParse(
-        j, start, Word(MORSE_TOKENS, bytes(identities)), parity=parity, window=label
-    )
-    return _DEPTH_GAP + 1, entry
-
-
-def _morse_eval_window(
-    label: str, win: Window, cert: MorseCertificate
-) -> tuple[str | None, PhaseParse | None]:
-    span = cert.span
-    block_set = {cert.c0.letters, cert.c1.letters, cert.c0p.letters, cert.c1p.letters}
-    depth = _DEPTH_NONE
-    eligible: list[PhaseParse] = []
-    for j, t0, tiles in _tile_runs(win, span):
-        if any(t not in block_set for t in tiles):
-            continue
-        for parity in (0, 1):
-            d, entry = _morse_conditions(cert, j, t0, tiles, parity, span, label)
-            depth = max(depth, d)
-            if entry is not None:
-                eligible.append(entry)
-    if not eligible:
-        return _DEPTH_REASON[min(depth, _DEPTH_GAP)], None
-    long_entries = [e for e in eligible if len(e.tokens) >= 4]
-    if len(long_entries) > 1:
-        return MULTIPLE_PHASES, None
-    return None, long_entries[0] if long_entries else eligible[0]
+def verify_toeplitz_certificate(
+    lang, cert: ToeplitzCertificate, radius: int | None = None
+) -> ParseVerdict:
+    """Check a Toeplitz certificate on every sampled window and every
+    language block of length twice the radius."""
+    return _verify(_TOEPLITZ, lang, cert, radius)
 
 
 def verify_morse_certificate(
@@ -470,24 +513,7 @@ def verify_morse_certificate(
 ) -> ParseVerdict:
     """Check a Morse certificate: unique phase, carrier parity with no
     overlap among C0/C1 tokens, and the nearest-neighbor gap rule."""
-    source = as_source(lang)
-    span = cert.span
-    if radius is None:
-        radius = 32 * span
-    if radius < 3 * span:
-        raise RangeError(f"radius {radius} below 3 tiles of {span}")
-    if cert.c0 == cert.c1:
-        return ParseVerdict(
-            False, (), BLOCKS_EQUAL, "morse", radius, "C0 and C1 coincide"
-        )
-    entries = []
-    for label, win in _test_windows(source, radius):
-        reason, entry = _morse_eval_window(label, win, cert)
-        if reason is not None:
-            return ParseVerdict(False, (), reason, "morse", radius, label)
-        if entry is not None and not label.startswith("block"):
-            entries.append(entry)
-    return ParseVerdict(True, tuple(entries), None, "morse", radius)
+    return _verify(_MORSE, lang, cert, radius)
 
 
 def morse_identity_pairs(verdict: ParseVerdict) -> frozenset[tuple[int, int]]:
@@ -508,21 +534,18 @@ def _power_images(sub: Substitution, k: int) -> list[Word]:
     return list(sub.power(k).images)
 
 
-def _recode(
-    verdict: ParseVerdict,
-    index: int,
-    k: int,
-    target: Substitution,
-    letter_of_token,
-) -> Window:
+def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
+    if verdict.kind != kind.name:
+        raise DomainError(f"expected a {kind.name} verdict")
     if not verdict.accepted:
         raise StateError("recode needs tokens from an accepted verdict")
     try:
         entry = verdict.phases[index]
     except IndexError:
         raise RangeError(f"verdict has no phase entry {index}") from None
+    target = kind.target
     images = _power_images(target, k)
-    out = b"".join(images[letter_of_token(t)].letters for t in entry.tokens.letters)
+    out = b"".join(images[t & 1].letters for t in entry.tokens.letters)
     origin = min(max(-entry.start, 0), len(out))
     window = Window(Word(target.alphabet, out), origin)
     depth = (1 << k) + 2
@@ -539,9 +562,7 @@ def recode_toeplitz(
     cert: ToeplitzCertificate, verdict: ParseVerdict, index: int = 0
 ) -> Window:
     """Recode an accepted token parse: C0 -> tau**k(0), C1 -> tau**k(1)."""
-    if verdict.kind != "toeplitz":
-        raise DomainError("expected a toeplitz verdict")
-    return _recode(verdict, index, cert.k, TOEPLITZ, lambda t: t)
+    return _recode(_TOEPLITZ, cert.k, verdict, index)
 
 
 def recode_morse(
@@ -549,70 +570,48 @@ def recode_morse(
 ) -> Window:
     """Recode an accepted Morse parse by identity: C0, C0' -> mu**k(0) and
     C1, C1' -> mu**k(1); gap identities come from the neighbor table."""
-    if verdict.kind != "morse":
-        raise DomainError("expected a morse verdict")
-    return _recode(verdict, index, cert.k, MORSE, lambda t: t & 1)
+    return _recode(_MORSE, cert.k, verdict, index)
 
 
 # -- searches -------------------------------------------------------------
+
+
+def _search(kind: _Kind, lang, kmax: int, max_span: int):
+    if kmax < 0:
+        raise RangeError("kmax must be >= 0")
+    source = as_source(lang)
+    for k in range(kmax + 1):
+        span = 1 << k
+        if span > max_span:
+            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
+        words = {b.letters: b for b in source.blocks(span) or ()}
+        checker = _Checker(kind, source, span, 32 * span)
+        if checker.samples:
+            ref = checker.samples[0][1]
+            candidates = _candidates(kind, ref, list(checker.ids), set(words))
+        else:
+            candidates = product(words, repeat=kind.slots)
+        for blocks in sorted(
+            c for c in candidates if c[0] != c[1] and all(b in words for b in c)
+        ):
+            cert = kind.certificate(k, *(words[b] for b in blocks))
+            if checker.verdict(cert).accepted:
+                return cert
+    return None
 
 
 def search_toeplitz_certificate(
     lang, kmax: int, max_span: int = 1 << 16
 ) -> ToeplitzCertificate | None:
     """Least certificate in (k, C0, C1) lexicographic order, or None."""
-    if kmax < 0:
-        raise RangeError("kmax must be >= 0")
-    source = as_source(lang)
-    for k in range(kmax + 1):
-        span = 1 << k
-        if span > max_span:
-            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
-        radius = 32 * span
-        blocks = sorted(source.blocks(span) or ())
-        ref = source.sample_windows(radius)
-        ref_window = ref[0][1] if ref else None
-        for c0, c1 in product(blocks, repeat=2):
-            if c0 == c1:
-                continue
-            cert = ToeplitzCertificate(k, c0, c1)
-            if ref_window is not None:
-                reason, _ = _toeplitz_eval_window("ref", ref_window, cert)
-                if reason is not None:
-                    continue
-            verdict = verify_toeplitz_certificate(source, cert, radius)
-            if verdict.accepted:
-                return cert
-    return None
+    return _search(_TOEPLITZ, lang, kmax, max_span)
 
 
 def search_morse_certificate(
     lang, kmax: int, max_span: int = 1 << 16
 ) -> MorseCertificate | None:
     """Least certificate in (k, C0, C1, C0', C1') lexicographic order."""
-    if kmax < 0:
-        raise RangeError("kmax must be >= 0")
-    source = as_source(lang)
-    for k in range(kmax + 1):
-        span = 1 << k
-        if span > max_span:
-            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
-        radius = 32 * span
-        blocks = sorted(source.blocks(span) or ())
-        ref = source.sample_windows(radius)
-        ref_window = ref[0][1] if ref else None
-        for c0, c1, c0p, c1p in product(blocks, repeat=4):
-            if c0 == c1:
-                continue
-            cert = MorseCertificate(k, c0, c1, c0p, c1p)
-            if ref_window is not None:
-                reason, _ = _morse_eval_window("ref", ref_window, cert)
-                if reason is not None:
-                    continue
-            verdict = verify_morse_certificate(source, cert, radius)
-            if verdict.accepted:
-                return cert
-    return None
+    return _search(_MORSE, lang, kmax, max_span)
 
 
 # -- necessary conditions -------------------------------------------------

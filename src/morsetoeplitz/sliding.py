@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -114,8 +115,6 @@ def projection_rule(
     width = memory + anticipation + 1
     if not 0 <= offset < width:
         raise RangeError(f"offset {offset} outside window of width {width}")
-    from itertools import product
-
     table = {
         bytes(win): bytes([win[offset]])
         for win in product(range(alphabet.size), repeat=width)
@@ -160,53 +159,66 @@ def preimage_blocks(
 ) -> set[Word]:
     """All input words of length len(w) + m + a that map onto w.
 
-    Exhaustive depth-first enumeration with early filtering; each letter
-    extension counts against ``cap``.
+    The fibre is the set of paths through the rule's de Bruijn automaton,
+    whose states are the last m + a input letters.  A forward pass over w
+    records the states reached at each position with the number of
+    prefixes reaching them; a backward pass spells the fibre from the end,
+    keeping suffixes only at states from which the rest of w can be
+    emitted, so every suffix extends to a preimage.  Suffixes share their
+    tails, memory stays bounded by the fibre, and the work is linear in
+    len(w).  ``cap`` bounds the letter extensions that a depth-first
+    enumeration with early filtering would try, dead ends included;
+    exceeding it raises CapacityError.
     """
     _require_letter_valued(rule)
     if w.alphabet != rule.output_alphabet:
         raise DomainError("word is over a different alphabet than the rule output")
-    width = rule.width
+    k = rule.width - 1
     size = rule.input_alphabet.size
     target = w.letters
-    results: set[Word] = set()
-    budget = cap
-
-    def extend(prefix: bytes) -> None:
-        nonlocal budget
-        pos = len(prefix) - width + 1
-        if pos == len(target):
-            results.add(Word(rule.input_alphabet, prefix))
-            return
-        for c in range(size):
-            budget -= 1
-            if budget < 0:
-                raise CapacityError(f"preimage enumeration exceeded cap {cap}")
-            cand = prefix + bytes([c])
-            if pos >= 0:
-                window = cand[pos : pos + width]
-                value = rule.table.get(window)
-                if value is None or value[0] != target[pos]:
-                    continue
-            extend(cand)
-
-    # grow the leading m + a letters first, then one output letter per step
-    def seed(prefix: bytes) -> None:
-        nonlocal budget
-        if len(prefix) == width - 1:
-            extend(prefix)
-            return
-        for c in range(size):
-            budget -= 1
-            if budget < 0:
-                raise CapacityError(f"preimage enumeration exceeded cap {cap}")
-            seed(prefix + bytes([c]))
-
-    if width == 1:
-        extend(b"")
-    else:
-        seed(b"")
-    return results
+    # a depth-first enumeration tries every k-letter seed, then every letter
+    # after every prefix that still maps onto the front of w
+    budget = cap - sum(size**i for i in range(1, k + 1))
+    if budget < 0:
+        raise CapacityError(f"preimage enumeration exceeded cap {cap}")
+    if not target:
+        seeds = product(range(size), repeat=k)
+        return {Word(rule.input_alphabet, bytes(seed)) for seed in seeds}
+    moves: dict[tuple[bytes, int], list[tuple[int, bytes]]] = {}
+    for key, value in rule.table.items():
+        moves.setdefault((key[:k], value[0]), []).append((key[k], key[1:]))
+    live = size**k
+    counts = {s: 1 for s, out in moves if out == target[0]}  # state -> prefixes
+    reached: list[dict[bytes, int]] = []
+    for out in target:
+        budget -= size * live
+        if budget < 0:
+            raise CapacityError(f"preimage enumeration exceeded cap {cap}")
+        reached.append(counts)
+        nxt: dict[bytes, int] = {}
+        for s, n in counts.items():
+            for _, t in moves.get((s, out), ()):
+                nxt[t] = nxt.get(t, 0) + n
+        counts = nxt
+        live = sum(nxt.values())
+    # a suffix is a chain (letter, rest) sharing its rest with its siblings
+    suffixes: dict[bytes, list] = {s: [None] for s in counts}
+    for out, states in zip(reversed(target), reversed(reached)):
+        grown: dict[bytes, list] = {}
+        for s in states:
+            for c, t in moves.get((s, out), ()):
+                for rest in suffixes.get(t, ()):
+                    grown.setdefault(s, []).append((c, rest))
+        suffixes = grown
+    fibre = set()
+    for seed, chains in suffixes.items():
+        for chain in chains:
+            letters = bytearray(seed)
+            while chain is not None:
+                c, chain = chain
+                letters.append(c)
+            fibre.add(Word(rule.input_alphabet, bytes(letters)))
+    return fibre
 
 
 def image_language(rule: LocalRule, lang: Iterable[Word]) -> set[Word]:

@@ -16,9 +16,10 @@ Conventions used throughout:
   to j modulo r**k all belong to the prescribed block set.
 
 ``language`` computes the n-block language of a primitive substitution by
-closing the set of 2-blocks under the substitution and then reading factors
-of high iterates; ``language_brute`` is the slow iterate-and-collect oracle
-kept for cross-validation and must agree with it.
+closing the set of 2-blocks under the substitution and then reading the
+n-factors of the covering words sigma**m(ab), one per 2-block ab;
+``language_brute`` is the slow iterate-and-collect oracle kept for
+cross-validation and must agree with it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     RangeError,
     SeedError,
 )
-from .words import Alphabet, Window, Word
+from .words import Alphabet, Window, Word, phase_tokens
 
 #: Cap on the length of any materialized word.
 DEFAULT_MAX_LEN = 1 << 20
@@ -182,6 +183,20 @@ class Substitution:
 
     def language(self, n: int) -> frozenset[Word]:
         """The set of n-blocks of the minimal system of a primitive substitution."""
+        self._require_primitive(n)
+        return _language(self, n)
+
+    def covering_words(self, n: int) -> tuple[Word, ...]:
+        """Words whose n-factors are exactly ``language(n)``.
+
+        One word sigma**m(ab) per 2-block ab of the language, in sorted
+        order of ab, with m the least exponent such that r**m >= n: every
+        n-block lies inside the image of one 2-block.
+        """
+        self._require_primitive(n)
+        return _covering_words(self, n)
+
+    def _require_primitive(self, n: int) -> None:
         if n < 1:
             raise RangeError("language needs n >= 1")
         if not graphs.build_graph(self).is_primitive():
@@ -189,7 +204,6 @@ class Substitution:
                 "language is defined for primitive substitutions only; analyze the "
                 "graph, or collapse equal images with identify_equal_images first"
             )
-        return _language(self, n)
 
     # -- structure --------------------------------------------------------
 
@@ -258,30 +272,16 @@ class Substitution:
         block_of: dict[bytes, int] = {}
         for a in reversed(range(self.alphabet.size)):
             block_of[sp.images[a].letters] = a
-        data = win.word.letters
-        lo = win.start
-        out: list[tuple[int, Word]] = []
-        for j in range(span):
-            t0 = lo + ((j - lo) % span)
-            count = (win.stop - t0) // span
-            if count < 3:
-                continue
-            off = t0 - lo
-            recovered = bytearray()
-            for i in range(count):
-                letter = block_of.get(data[off + i * span : off + (i + 1) * span])
-                if letter is None:
-                    break
-                recovered.append(letter)
-            else:
-                out.append((j, Word(self.alphabet, bytes(recovered))))
-        return out
+        return [
+            (j, Word(self.alphabet, bytes(recovered)))
+            for j, _, recovered in phase_tokens(win, span, block_of)
+            if None not in recovered
+        ]
 
 
-@functools.lru_cache(maxsize=None)
-def _language(sub: Substitution, n: int) -> frozenset[Word]:
-    """2-block closure, then factors of an iterate that covers length n."""
-    r = sub.length
+def _covering_words(sub: Substitution, n: int) -> tuple[Word, ...]:
+    """2-block closure, then the image of each 2-block under an iterate
+    whose letter images have length at least n."""
     imgs = [im.letters for im in sub.images]
     w0 = imgs[0]
     pairs = {w0[i : i + 2] for i in range(len(w0) - 1)}
@@ -295,20 +295,27 @@ def _language(sub: Substitution, n: int) -> frozenset[Word]:
                 if p not in pairs:
                     pairs.add(p)
                     changed = True
-    if n == 1:
-        letters = {a for uv in pairs for a in uv}
-        return frozenset(Word(sub.alphabet, bytes([a])) for a in letters)
     m = 0
     cover = 1
     while cover < n:
-        cover *= r
+        cover *= sub.length
         m += 1
-    pm = sub.power(m)
-    pimgs = [im.letters for im in pm.images]
-    blocks: set[bytes] = set()
-    for uv in pairs:
-        x = pimgs[uv[0]] + pimgs[uv[1]]
-        blocks.update(x[i : i + n] for i in range(len(x) - n + 1))
+    if m == 0:
+        return tuple(Word(sub.alphabet, uv) for uv in sorted(pairs))
+    pimgs = [im.letters for im in sub.power(m).images]
+    return tuple(
+        Word(sub.alphabet, pimgs[uv[0]] + pimgs[uv[1]]) for uv in sorted(pairs)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _language(sub: Substitution, n: int) -> frozenset[Word]:
+    """The n-factors of the covering words."""
+    blocks = {
+        x[i : i + n]
+        for x in (w.letters for w in _covering_words(sub, n))
+        for i in range(len(x) - n + 1)
+    }
     return frozenset(Word(sub.alphabet, b) for b in blocks)
 
 

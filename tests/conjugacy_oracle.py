@@ -1,0 +1,283 @@
+"""Enumerate-then-verify oracles for certificate verification and search.
+
+These are the block-by-block verifiers and exhaustive searches that
+``morsetoeplitz.conjugacy`` replaced with covering-word checks and derived
+candidates.  Every sampled window and every block of L_{2R} is parsed on its
+own, and the searches try every block tuple in lexicographic order, so they
+are slow but independent of the fast paths they check.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from morsetoeplitz.conjugacy import (
+    BLOCKS_EQUAL,
+    GAP_RULE,
+    LanguageSource,
+    MORSE_TOKENS,
+    MULTIPLE_PHASES,
+    NO_PHASE,
+    TOKEN_PATTERN,
+    MorseCertificate,
+    ParseVerdict,
+    PhaseParse,
+    ToeplitzCertificate,
+    as_source,
+)
+from morsetoeplitz.errors import CapacityError, RangeError
+from morsetoeplitz.patterns import find_even_square, find_overlap
+from morsetoeplitz.words import BINARY, Window, Word
+
+# nearest neighbor table: (left carrier, right carrier) -> (identity, block attr)
+_GAP_TABLE = {
+    (1, 1): (0, "c0"),
+    (0, 0): (1, "c1"),
+    (1, 0): (2, "c0p"),
+    (0, 1): (3, "c1p"),
+}
+
+
+def _tile_runs(win: Window, span: int):
+    """Yield (phase, start, tiles) for every bilateral residue with a run
+    of at least 3 full tiles inside the window."""
+    data = win.word.letters
+    lo, hi = win.start, win.stop
+    for j in range(span):
+        t0 = lo + ((j - lo) % span)
+        count = (hi - t0) // span
+        if count < 3:
+            continue
+        off = t0 - lo
+        tiles = [data[off + i * span : off + (i + 1) * span] for i in range(count)]
+        yield j, t0, tiles
+
+
+def _toeplitz_eval_window(
+    label: str, win: Window, cert: ToeplitzCertificate
+) -> tuple[str | None, PhaseParse | None]:
+    span = cert.span
+    index = {cert.c0.letters: 0, cert.c1.letters: 1}
+    parses = []
+    for j, t0, tiles in _tile_runs(win, span):
+        toks = bytearray()
+        for t in tiles:
+            letter = index.get(t)
+            if letter is None:
+                break
+            toks.append(letter)
+        else:
+            parses.append(PhaseParse(j, t0, Word(BINARY, bytes(toks)), window=label))
+    if not parses:
+        return NO_PHASE, None
+    long_parses = [p for p in parses if len(p.tokens) >= 4]
+    if len(long_parses) > 1:
+        return MULTIPLE_PHASES, None
+    for p in parses:
+        if find_even_square(p.tokens, 0) is not None:
+            return TOKEN_PATTERN, None
+    chosen = long_parses[0] if long_parses else parses[0]
+    return None, chosen
+
+
+def verify_toeplitz_certificate(
+    lang, cert: ToeplitzCertificate, radius: int | None = None
+) -> ParseVerdict:
+    """Check a Toeplitz certificate on every sampled window and every
+    language block of matching length."""
+    source = as_source(lang)
+    span = cert.span
+    if radius is None:
+        radius = 32 * span
+    if radius < 3 * span:
+        raise RangeError(f"radius {radius} below 3 tiles of {span}")
+    if cert.c0 == cert.c1:
+        return ParseVerdict(
+            False, (), BLOCKS_EQUAL, "toeplitz", radius, "C0 and C1 coincide"
+        )
+    entries = []
+    for label, win in _test_windows(source, radius):
+        reason, entry = _toeplitz_eval_window(label, win, cert)
+        if reason is not None:
+            return ParseVerdict(False, (), reason, "toeplitz", radius, label)
+        if entry is not None and not label.startswith("block"):
+            entries.append(entry)
+    return ParseVerdict(True, tuple(entries), None, "toeplitz", radius)
+
+
+def _test_windows(source: LanguageSource, radius: int):
+    yield from source.sample_windows(radius)
+    blocks = source.blocks(2 * radius)
+    if blocks:
+        for i, b in enumerate(sorted(blocks)):
+            yield f"block[{i}]:{b.text}", Window(b, len(b) // 2)
+
+
+_DEPTH_NONE = 0
+_DEPTH_MEMBER = 1
+_DEPTH_OVERLAP = 2
+_DEPTH_GAP = 3
+
+_DEPTH_REASON = {
+    _DEPTH_NONE: NO_PHASE,
+    _DEPTH_MEMBER: TOKEN_PATTERN,
+    _DEPTH_OVERLAP: TOKEN_PATTERN,
+    _DEPTH_GAP: GAP_RULE,
+}
+
+
+def _morse_conditions(
+    cert: MorseCertificate,
+    j: int,
+    t0: int,
+    tiles: list[bytes],
+    parity: int,
+    span: int,
+    label: str,
+) -> tuple[int, PhaseParse | None]:
+    """Evaluate the parity and gap conditions on one raw parse.
+
+    Trims the run so it starts and ends on a carrier position, so every
+    gap has both neighbors.  Returns the depth the check reached and, when
+    everything holds, the phase entry with identity tokens."""
+    c0b, c1b = cert.c0.letters, cert.c1.letters
+    abs0 = (t0 - j) // span
+    i0 = 0 if abs0 % 2 == parity else 1
+    i1 = len(tiles) - 1
+    if (abs0 + i1) % 2 != parity:
+        i1 -= 1
+    if i1 - i0 + 1 < 3:
+        return _DEPTH_NONE, None
+    run = tiles[i0 : i1 + 1]
+    start = t0 + i0 * span
+    carriers = run[0::2]
+    letters = []
+    for t in carriers:
+        if t == c0b:
+            letters.append(0)
+        elif t == c1b:
+            letters.append(1)
+        else:
+            return _DEPTH_MEMBER, None
+    if find_overlap(Word(BINARY, bytes(letters))) is not None:
+        return _DEPTH_OVERLAP, None
+    identities = bytearray(len(run))
+    for i, letter in enumerate(letters):
+        identities[2 * i] = letter
+    for i in range(len(letters) - 1):
+        left, right = letters[i], letters[i + 1]
+        identity, attr = _GAP_TABLE[(left, right)]
+        expected: Word = getattr(cert, attr)
+        if run[2 * i + 1] != expected.letters:
+            return _DEPTH_GAP, None
+        identities[2 * i + 1] = identity
+    entry = PhaseParse(
+        j, start, Word(MORSE_TOKENS, bytes(identities)), parity=parity, window=label
+    )
+    return _DEPTH_GAP + 1, entry
+
+
+def _morse_eval_window(
+    label: str, win: Window, cert: MorseCertificate
+) -> tuple[str | None, PhaseParse | None]:
+    span = cert.span
+    block_set = {cert.c0.letters, cert.c1.letters, cert.c0p.letters, cert.c1p.letters}
+    depth = _DEPTH_NONE
+    eligible: list[PhaseParse] = []
+    for j, t0, tiles in _tile_runs(win, span):
+        if any(t not in block_set for t in tiles):
+            continue
+        for parity in (0, 1):
+            d, entry = _morse_conditions(cert, j, t0, tiles, parity, span, label)
+            depth = max(depth, d)
+            if entry is not None:
+                eligible.append(entry)
+    if not eligible:
+        return _DEPTH_REASON[min(depth, _DEPTH_GAP)], None
+    long_entries = [e for e in eligible if len(e.tokens) >= 4]
+    if len(long_entries) > 1:
+        return MULTIPLE_PHASES, None
+    return None, long_entries[0] if long_entries else eligible[0]
+
+
+def verify_morse_certificate(
+    lang, cert: MorseCertificate, radius: int | None = None
+) -> ParseVerdict:
+    """Check a Morse certificate: unique phase, carrier parity with no
+    overlap among C0/C1 tokens, and the nearest-neighbor gap rule."""
+    source = as_source(lang)
+    span = cert.span
+    if radius is None:
+        radius = 32 * span
+    if radius < 3 * span:
+        raise RangeError(f"radius {radius} below 3 tiles of {span}")
+    if cert.c0 == cert.c1:
+        return ParseVerdict(
+            False, (), BLOCKS_EQUAL, "morse", radius, "C0 and C1 coincide"
+        )
+    entries = []
+    for label, win in _test_windows(source, radius):
+        reason, entry = _morse_eval_window(label, win, cert)
+        if reason is not None:
+            return ParseVerdict(False, (), reason, "morse", radius, label)
+        if entry is not None and not label.startswith("block"):
+            entries.append(entry)
+    return ParseVerdict(True, tuple(entries), None, "morse", radius)
+
+
+def search_toeplitz_certificate(
+    lang, kmax: int, max_span: int = 1 << 16
+) -> ToeplitzCertificate | None:
+    """Least certificate in (k, C0, C1) lexicographic order, or None."""
+    if kmax < 0:
+        raise RangeError("kmax must be >= 0")
+    source = as_source(lang)
+    for k in range(kmax + 1):
+        span = 1 << k
+        if span > max_span:
+            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
+        radius = 32 * span
+        blocks = sorted(source.blocks(span) or ())
+        ref = source.sample_windows(radius)
+        ref_window = ref[0][1] if ref else None
+        for c0, c1 in product(blocks, repeat=2):
+            if c0 == c1:
+                continue
+            cert = ToeplitzCertificate(k, c0, c1)
+            if ref_window is not None:
+                reason, _ = _toeplitz_eval_window("ref", ref_window, cert)
+                if reason is not None:
+                    continue
+            verdict = verify_toeplitz_certificate(source, cert, radius)
+            if verdict.accepted:
+                return cert
+    return None
+
+
+def search_morse_certificate(
+    lang, kmax: int, max_span: int = 1 << 16
+) -> MorseCertificate | None:
+    """Least certificate in (k, C0, C1, C0', C1') lexicographic order."""
+    if kmax < 0:
+        raise RangeError("kmax must be >= 0")
+    source = as_source(lang)
+    for k in range(kmax + 1):
+        span = 1 << k
+        if span > max_span:
+            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
+        radius = 32 * span
+        blocks = sorted(source.blocks(span) or ())
+        ref = source.sample_windows(radius)
+        ref_window = ref[0][1] if ref else None
+        for c0, c1, c0p, c1p in product(blocks, repeat=4):
+            if c0 == c1:
+                continue
+            cert = MorseCertificate(k, c0, c1, c0p, c1p)
+            if ref_window is not None:
+                reason, _ = _morse_eval_window("ref", ref_window, cert)
+                if reason is not None:
+                    continue
+            verdict = verify_morse_certificate(source, cert, radius)
+            if verdict.accepted:
+                return cert
+    return None

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from morsetoeplitz import LocalRule, rule_to_json
+from morsetoeplitz import LocalRule, Seed, rule_to_json
 from morsetoeplitz.cli import main
 from morsetoeplitz.words import BINARY
 
@@ -25,6 +25,13 @@ def invoke(runner, *args):
 
 def payload(result):
     return json.loads(result.output)
+
+
+def assert_input_error(result):
+    """Malformed input: exit 2 with an error line, not an uncaught exception."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
 
 
 class TestGenerate:
@@ -169,6 +176,17 @@ class TestImage:
         result = invoke(runner, "image", "--rule", "oxtoby", "--window", "0.")
         assert result.exit_code == 2
 
+    def test_malformed_inline_rule(self, runner):
+        rule = '{"memory": 0, '
+        result = invoke(runner, "image", "--rule", rule, "--window", "01.10")
+        assert_input_error(result)
+
+    def test_rule_file_that_is_not_json(self, runner, tmp_path):
+        path = tmp_path / "rule.json"
+        path.write_text("memory: 0\n")
+        result = invoke(runner, "image", "--rule", str(path), "--window", "01.10")
+        assert_input_error(result)
+
 
 class TestPreimage:
     def test_two_preimages(self, runner):
@@ -193,6 +211,13 @@ class TestPreimage:
     def test_foreign_letters_rejected(self, runner):
         result = invoke(runner, "preimage", "--rule", "oxtoby", "--word", "012")
         assert result.exit_code == 2
+
+    def test_long_toeplitz_word(self, runner, toeplitz):
+        word = toeplitz.periodic_window(Seed(0, 0, 2), 600).word.text
+        result = invoke(runner, "preimage", "--rule", "oxtoby", "--word", word)
+        assert result.exit_code == 0
+        assert result.exception is None
+        assert len(result.output.splitlines()) == 2
 
 
 class TestVerifyCert:
@@ -258,6 +283,13 @@ class TestVerifyCert:
             "--sub", TOEPLITZ_SPEC, "--radius", "2",
         )
         assert result.exit_code == 2
+
+    def test_malformed_inline_json(self, runner):
+        result = invoke(
+            runner, "verify-cert", "--cert", '{"kind": "toeplitz", "k": 1, ',
+            "--sub", TOEPLITZ_SPEC,
+        )
+        assert_input_error(result)
 
 
 class TestSearchCert:

@@ -1,5 +1,6 @@
 """Sliding block codes and the two-to-one map onto the Toeplitz system."""
 
+import itertools
 import json
 import random
 
@@ -31,6 +32,66 @@ from morsetoeplitz.words import Window, parse_window
 def all_binary_words(n):
     for x in range(1 << n):
         yield Word(BINARY, bytes((x >> i) & 1 for i in range(n)))
+
+
+def dfs_preimages(rule, w, cap):
+    """Depth-first enumeration with early filtering, one cap unit per
+    letter tried: the oracle for the frontier enumeration."""
+    width = rule.width
+    target = w.letters
+    results = set()
+    budget = cap
+
+    def spend():
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise CapacityError(f"preimage enumeration exceeded cap {cap}")
+
+    def extend(prefix):
+        pos = len(prefix) - width + 1
+        if pos == len(target):
+            results.add(Word(rule.input_alphabet, prefix))
+            return
+        for c in range(rule.input_alphabet.size):
+            spend()
+            cand = prefix + bytes([c])
+            value = rule.table.get(cand[pos : pos + width])
+            if value is not None and value[0] == target[pos]:
+                extend(cand)
+
+    def seed(prefix):
+        if len(prefix) == width - 1:
+            extend(prefix)
+            return
+        for c in range(rule.input_alphabet.size):
+            spend()
+            seed(prefix + bytes([c]))
+
+    seed(b"")
+    return results
+
+
+def random_rule(rng):
+    size = rng.choice((2, 3))
+    alphabet = Alphabet.from_names("012"[:size])
+    memory, anticipation = rng.choice(((0, 0), (0, 1), (1, 0), (1, 1), (0, 2)))
+    keys = [
+        bytes(t)
+        for t in itertools.product(range(size), repeat=memory + anticipation + 1)
+    ]
+    domain = None
+    if rng.random() < 0.3:
+        keys = [k for k in keys if rng.random() < 0.7] or keys[:1]
+        domain = frozenset(keys)
+    table = {k: bytes([rng.randrange(size)]) for k in keys}
+    return LocalRule(alphabet, alphabet, memory, anticipation, table, domain)
+
+
+def random_word(rng, rule, longest):
+    size = rule.output_alphabet.size
+    data = bytes(rng.randrange(size) for _ in range(rng.randrange(longest)))
+    return Word(rule.output_alphabet, data)
 
 
 class TestLocalRule:
@@ -173,10 +234,51 @@ class TestPreimages:
         with pytest.raises(DomainError):
             preimage_blocks(oxtoby, Alphabet.from_names("012").word("01"))
 
+    def test_long_toeplitz_word(self, toeplitz, oxtoby):
+        word = toeplitz.periodic_window(Seed(0, 0, 2), 600).word
+        pre = preimage_blocks(oxtoby, word)
+        assert len(pre) == 2
+        a, b = sorted(pre)
+        assert a.complement() == b
+        assert apply_to_word(oxtoby, a) == word
+
+    def test_frontier_matches_the_depth_first_oracle(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            rule = random_rule(rng)
+            w = random_word(rng, rule, 8)
+            cap = rng.choice((10, 50, 200, 1 << 20))
+            try:
+                expected = dfs_preimages(rule, w, cap)
+            except CapacityError:
+                with pytest.raises(CapacityError):
+                    preimage_blocks(rule, w, cap)
+                continue
+            assert preimage_blocks(rule, w, cap) == expected
+
+    def test_cap_counts_every_letter_tried(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            rule = random_rule(rng)
+            w = random_word(rng, rule, 6)
+            fits = (c for c in itertools.count() if _fits(dfs_preimages, rule, w, c))
+            need = next(fits)
+            assert _fits(preimage_blocks, rule, w, need)
+            if need:
+                assert not _fits(preimage_blocks, rule, w, need - 1)
+
     def test_width_one_rules(self):
         swap = LocalRule(BINARY, BINARY, 0, 0, {b"\x00": b"\x01", b"\x01": b"\x00"})
         pre = preimage_blocks(swap, BINARY.word("10"))
         assert {w.text for w in pre} == {"01"}
+
+
+def _fits(enumerate_fibre, rule, w, cap):
+    try:
+        enumerate_fibre(rule, w, cap)
+    except CapacityError:
+        return False
+    return True
 
 
 class TestImageLanguage:
