@@ -88,9 +88,10 @@ class _Certificate:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise DomainError("certificate scale k must be >= 0")
-        span = self.span
         for block in self.blocks:
-            if len(block) != span:
+            # Bit lengths first: a k read from JSON may be too large to build 1 << k.
+            if len(block).bit_length() != self.k + 1 or len(block) != self.span:
+                span = self.span if self.k < 64 else f"2**{self.k}"
                 raise DomainError(f"certificate blocks must have length 2**k = {span}")
             if block.alphabet != self.blocks[0].alphabet:
                 raise DomainError("certificate blocks must share one alphabet")
@@ -135,7 +136,7 @@ def certificate_from_json(
         if kind in ("toeplitz", "morse"):
             cls = ToeplitzCertificate if kind == "toeplitz" else MorseCertificate
             return cls(k, *blocks)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed certificate payload: {exc}") from None
     raise DomainError(f"unknown certificate kind {kind!r}")
 

@@ -59,65 +59,61 @@ class SubstitutionGraph:
     def successors(self, a: int) -> list[int]:
         return [b for b, on in enumerate(self.arcs[a]) if on]
 
-    def _reaches_all(self, transpose: bool) -> bool:
-        n = self.n
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in range(n):
-                on = self.arcs[v][u] if transpose else self.arcs[u][v]
-                if on and not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == n
-
-    def is_strongly_connected(self) -> bool:
-        """Every vertex reaches and is reached by vertex 0."""
-        return self._reaches_all(False) and self._reaches_all(True)
-
-    def period(self) -> int:
-        """gcd of all cycle lengths of a strongly connected graph.
-
-        Computed from BFS levels: every arc u -> v contributes
-        level(u) + 1 - level(v) to the gcd.  Returns 0 for the degenerate
-        strongly connected graph with no cycles (a single loopless vertex).
-        """
-        if not self.is_strongly_connected():
-            raise PreconditionError("period needs a strongly connected graph")
+    def _bfs_levels(self, transpose: bool) -> list[int]:
+        """BFS levels from vertex 0, along reversed arcs when ``transpose``;
+        -1 marks a vertex not reached."""
         n = self.n
         level = [-1] * n
         level[0] = 0
         queue = deque([0])
         while queue:
             u = queue.popleft()
-            for v in self.successors(u):
-                if level[v] < 0:
+            for v in range(n):
+                on = self.arcs[v][u] if transpose else self.arcs[u][v]
+                if on and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
+        return level
+
+    def _levels(self) -> list[int] | None:
+        """Forward BFS levels from vertex 0, or None unless strongly connected."""
+        level = self._bfs_levels(False)
+        if -1 in level or -1 in self._bfs_levels(True):
+            return None
+        return level
+
+    def _period_levels(self) -> tuple[int, list[int]]:
+        """Period and forward BFS levels of a strongly connected graph.
+
+        Every arc u -> v contributes level(u) + 1 - level(v) to the gcd of
+        all cycle lengths.
+        """
+        level = self._levels()
+        if level is None:
+            raise PreconditionError("period needs a strongly connected graph")
         g = 0
-        for u in range(n):
+        for u in range(self.n):
             for v in self.successors(u):
                 g = gcd(g, abs(level[u] + 1 - level[v]))
-        return g
+        return g, level
+
+    def is_strongly_connected(self) -> bool:
+        """Every vertex reaches and is reached by vertex 0."""
+        return self._levels() is not None
+
+    def period(self) -> int:
+        """gcd of all cycle lengths of a strongly connected graph.
+
+        Returns 0 for the degenerate strongly connected graph with no cycles
+        (a single loopless vertex).
+        """
+        return self._period_levels()[0]
 
     def period_classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition A_0 .. A_{l-1} with every arc going from A_i to A_{i+1 mod l}."""
-        ell = self.period()
+        ell, level = self._period_levels()
         if ell == 0:
             return (tuple(range(self.n)),)
-        level = [-1] * self.n
-        level[0] = 0
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.successors(u):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
         classes: list[list[int]] = [[] for _ in range(ell)]
         for v in range(self.n):
             classes[level[v] % ell].append(v)
@@ -125,7 +121,10 @@ class SubstitutionGraph:
 
     def is_primitive(self) -> bool:
         """Strongly connected with period 1."""
-        return self.is_strongly_connected() and self.period() == 1
+        try:
+            return self.period() == 1
+        except PreconditionError:
+            return False
 
     def is_primitive_by_powers(self) -> bool:
         """Independent route: some K <= (n-1)**2 + 1 joins all ordered pairs.

@@ -260,7 +260,8 @@ def rule_from_json(payload: dict) -> LocalRule:
         input_alphabet = Alphabet.from_names(str(payload["input"]))
         output_alphabet = Alphabet.from_names(str(payload["output"]))
         raw_table = payload["table"]
-    except (KeyError, TypeError) as exc:
+        names = [str(d) for d in payload["domain"]] if "domain" in payload else None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed rule payload: {exc}") from None
     if not isinstance(raw_table, dict):
         raise DomainError("rule table must be an object")
@@ -269,10 +270,8 @@ def rule_from_json(payload: dict) -> LocalRule:
         for k, v in raw_table.items()
     }
     domain = None
-    if "domain" in payload:
-        domain = frozenset(
-            input_alphabet.word(str(d)).letters for d in payload["domain"]
-        )
+    if names is not None:
+        domain = frozenset(input_alphabet.word(d).letters for d in names)
     return LocalRule(input_alphabet, output_alphabet, memory, anticipation, table, domain)
 
 

@@ -1,9 +1,13 @@
 """End-to-end coverage of every subcommand, exit code, and output mode."""
 
+import itertools
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from morsetoeplitz import LocalRule, Seed, rule_to_json
 from morsetoeplitz.cli import main
@@ -12,6 +16,10 @@ from morsetoeplitz.words import BINARY
 MORSE_SPEC = "0->01;1->10"
 TOEPLITZ_SPEC = "0->01;1->00"
 THREE_SPEC = "0->12;1->02;2->10"
+SWAP_RULE = (
+    '{"memory": 0, "anticipation": 0, "input": "01", "output": "01",'
+    ' "table": {"0": "1", "1": "0"}}'
+)
 
 
 @pytest.fixture()
@@ -187,6 +195,16 @@ class TestImage:
         result = invoke(runner, "image", "--rule", str(path), "--window", "01.10")
         assert_input_error(result)
 
+    @pytest.mark.parametrize(
+        "field", ['"memory": "x"', '"memory": NaN', '"memory": 1e400', '"domain": 5']
+    )
+    def test_malformed_rule_fields(self, runner, field):
+        # json.loads keeps the last value of a repeated key.
+        rule = SWAP_RULE[:-1] + ", " + field + "}"
+        result = invoke(runner, "image", "--rule", rule, "--window", "01.10")
+        assert_input_error(result)
+        assert result.stderr.startswith("error: malformed rule payload: ")
+
 
 class TestPreimage:
     def test_two_preimages(self, runner):
@@ -290,6 +308,20 @@ class TestVerifyCert:
             "--sub", TOEPLITZ_SPEC,
         )
         assert_input_error(result)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("1e400", "error: malformed certificate payload: "),
+            ("100000000", "error: certificate blocks must have length 2**k = 2**"),
+        ],
+        ids=["infinite", "huge"],
+    )
+    def test_unusable_scale(self, runner, k, message):
+        cert = f'{{"kind": "toeplitz", "k": {k}, "C0": "0", "C1": "1"}}'
+        result = invoke(runner, "verify-cert", "--cert", cert, "--sub", TOEPLITZ_SPEC)
+        assert_input_error(result)
+        assert result.stderr.startswith(message)
 
 
 class TestSearchCert:
@@ -472,3 +504,168 @@ class TestWitness:
     def test_non_injective_input(self, runner):
         result = invoke(runner, "witness", "--sub", "0->01;1->01", "--n", "2")
         assert result.exit_code == 2
+
+
+def readme_examples():
+    """argv and stdout of every ``$ mtz ...`` example in README.md."""
+    readme = Path(__file__).parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ mtz "):
+            shown = itertools.takewhile(
+                lambda out: out and out != "```" and not out.startswith("$ "),
+                lines[i + 1 :],
+            )
+            argv = shlex.split(line)[2:]
+            stdout = "".join(f"{out}\n" for out in shown)
+            examples.append(pytest.param(argv, stdout, id=argv[0]))
+    return examples
+
+
+@pytest.mark.parametrize("argv, stdout", readme_examples())
+def test_readme_examples(runner, argv, stdout):
+    assert invoke(runner, *argv).stdout == stdout
+
+
+# -- the exit-code contract under generated arguments -----------------------
+
+#: JSON values that break a field: wrong type, non-finite, out of range.
+JUNK = ["-1", "1.5", "1e400", "-1e400", "NaN", "100000000", "true", "null",
+        '"x"', "[]", "{}", "5"]
+GOOD = {
+    "kind": ['"toeplitz"', '"morse"'],
+    "k": ["0", "1", "2"],
+    "C0": ['"0"', '"1"', '"01"', '"10"', '"21"'],
+    "memory": ["0", "1"],
+    "anticipation": ["0", "1"],
+    "input": ['"01"', '"012"'],
+    "table": ['{"0": "1", "1": "0"}', '{"0": "01", "1": "10"}'],
+    "domain": ['["0", "1"]', '["0"]'],
+}
+GOOD["C1"] = GOOD["C0p"] = GOOD["C1p"] = GOOD["C0"]
+GOOD["output"] = GOOD["input"]
+
+
+def json_objects(fields):
+    """Inline JSON objects with each field absent, plausible or broken,
+    sometimes cut short by one character."""
+    value = {f: st.none() | st.sampled_from(GOOD[f] + JUNK) for f in fields}
+    text = st.fixed_dictionaries(value).map(
+        lambda d: "{" + ", ".join(f'"{k}": {v}' for k, v in d.items() if v) + "}"
+    )
+    return st.one_of(text, text.map(lambda t: t[:-1]))
+
+
+def maybe(strategy):
+    return st.none() | strategy
+
+
+def options(**fields):
+    """Option values by name; None leaves an option out."""
+    return st.fixed_dictionaries(fields)
+
+
+def binary(min_size=0, max_size=32):
+    return st.text("01", min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def substitutions(draw):
+    """Constant-length substitutions on two or three letters."""
+    size, length = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    image = st.text("012"[:size], min_size=length, max_size=length)
+    images = draw(st.lists(image, min_size=size, max_size=size))
+    return ";".join(f"{a}->{im}" for a, im in enumerate(images))
+
+
+@st.composite
+def total_rules(draw):
+    """Total binary rules with memory and anticipation at most 1."""
+    memory, anticipation = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    width, out_len = memory + anticipation + 1, draw(st.integers(1, 2))
+    outs = draw(st.lists(binary(out_len, out_len), min_size=2**width, max_size=2**width))
+    table = {format(i, f"0{width}b"): out for i, out in enumerate(outs)}
+    return json.dumps({"memory": memory, "anticipation": anticipation,
+                       "input": "01", "output": "01", "table": table})
+
+
+@st.composite
+def shaped_certs(draw):
+    """Certificates of the right shape: a kind, k <= 2 and four 2**k-letter blocks."""
+    k = draw(st.integers(0, 2))
+    block = st.text("012", min_size=2**k, max_size=2**k)
+    blocks = draw(st.lists(block, min_size=4, max_size=4))
+    names = ("C0", "C1", "C0p", "C1p")
+    return json.dumps({"kind": draw(KINDS), "k": k} | dict(zip(names, blocks)))
+
+
+KINDS = st.sampled_from(["toeplitz", "morse"])
+BINARY_SPECS = st.sampled_from([MORSE_SPEC, TOEPLITZ_SPEC])
+SPECS = st.one_of(
+    BINARY_SPECS,
+    st.sampled_from(
+        [THREE_SPEC, "0->11;1->00", "0->01;1->11", "0->01;1->01", "0->0;1->10"]
+    ),
+    substitutions(),
+    st.text("01->;", max_size=16),
+)
+RULES = st.one_of(
+    st.sampled_from(["oxtoby", SWAP_RULE]),
+    total_rules(),
+    json_objects(["memory", "anticipation", "input", "output", "table", "domain"]),
+    st.text("01.{}x", max_size=8),
+)
+IDENTITY_CERTS = st.sampled_from([
+    '{"kind": "toeplitz", "k": 0, "C0": "0", "C1": "1"}',
+    '{"kind": "morse", "k": 0, "C0": "0", "C1": "1", "C0p": "0", "C1p": "1"}',
+])
+CERTS = st.one_of(
+    IDENTITY_CERTS,
+    shaped_certs(),
+    json_objects(["kind", "k", "C0", "C1", "C0p", "C1p"]),
+    st.text("01{}", max_size=8),
+)
+WORDS = st.one_of(binary(max_size=64), st.text("012.", max_size=64))
+WINDOWS = st.one_of(
+    st.tuples(binary(), binary()).map(".".join), st.text("012.", max_size=64)
+)
+SEEDS = st.one_of(
+    st.tuples(st.sampled_from("012"), st.sampled_from("012")).map(".".join),
+    st.text("012.", max_size=4),
+)
+RADII = maybe(st.integers(-4, 256))
+
+#: Generated options per subcommand; every size is bounded so no case runs long.
+FUZZ = {
+    "generate": options(sub=SPECS, seed=SEEDS, period=st.integers(-1, 8), radius=RADII),
+    "language": options(sub=SPECS, n=st.integers(-2, 16)),
+    "check": options(pattern=st.sampled_from(["overlap", "toeplitz"]), word=WORDS,
+                     zero=maybe(st.text("01a", max_size=2))),
+    "image": options(rule=RULES, window=WINDOWS),
+    "preimage": options(rule=RULES, word=WORDS),
+    "verify-cert": options(cert=CERTS, sub=SPECS, radius=RADII)
+    | options(cert=IDENTITY_CERTS, sub=BINARY_SPECS, radius=RADII),
+    "search-cert": options(kind=KINDS, sub=SPECS, kmax=maybe(st.integers(-1, 2))),
+    "analyze": options(sub=SPECS, kind=maybe(KINDS)),
+    "derive": options(sub=SPECS, rule=RULES, r=st.integers(-1, 8))
+    | options(sub=BINARY_SPECS, rule=total_rules(), r=st.just(2)),
+    "witness": options(sub=SPECS, n=st.integers(-2, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exit_code_contract(name, data):
+    options = data.draw(FUZZ[name], label="options")
+    argv = [name] + [
+        arg for key, v in options.items() if v is not None for arg in (f"--{key}", str(v))
+    ]
+    if data.draw(st.booleans(), label="json"):
+        argv.append("--json")
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), argv
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error: "), argv

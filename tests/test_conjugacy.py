@@ -101,6 +101,17 @@ class TestCertificates:
         with pytest.raises(DomainError):
             certificate_from_json({"kind": "toeplitz", "k": "x", "C0": "0", "C1": "1"}, BINARY)
 
+    @pytest.mark.parametrize("k", [float("inf"), float("-inf")])
+    def test_json_rejects_non_finite_scales(self, k):
+        payload = {"kind": "toeplitz", "k": k, "C0": "0", "C1": "1"}
+        with pytest.raises(DomainError, match="malformed certificate payload"):
+            certificate_from_json(payload, BINARY)
+
+    def test_huge_scale_is_checked_without_building_the_span(self):
+        payload = {"kind": "toeplitz", "k": 10**8, "C0": "0", "C1": "1"}
+        with pytest.raises(DomainError, match=r"length 2\*\*k = 2\*\*100000000"):
+            certificate_from_json(payload, BINARY)
+
 
 class TestParsePhases:
     def test_three_letter_window(self, three_letter):

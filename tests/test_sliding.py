@@ -325,6 +325,22 @@ class TestSerialization:
                 {"memory": 0, "anticipation": 0, "input": "01", "output": "01", "table": []}
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("memory", '"x"'),
+            ("memory", "NaN"),
+            ("memory", "1e400"),
+            ("anticipation", "-1e400"),
+            ("domain", "5"),
+            ("domain", "null"),
+        ],
+    )
+    def test_malformed_field_values(self, oxtoby, field, value):
+        payload = rule_to_json(oxtoby) | {field: json.loads(value)}
+        with pytest.raises(DomainError, match="malformed rule payload"):
+            rule_from_json(payload)
+
     def test_load_rule_by_name(self, oxtoby):
         assert load_rule("oxtoby") == oxtoby
 
