@@ -14,6 +14,7 @@ suite enforces that exhaustively on small vertex counts.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
@@ -75,22 +76,16 @@ class SubstitutionGraph:
                     queue.append(v)
         return level
 
-    def _levels(self) -> list[int] | None:
-        """Forward BFS levels from vertex 0, or None unless strongly connected."""
+    @functools.cached_property
+    def _period_levels(self) -> tuple[int, list[int]] | None:
+        """Period and forward BFS levels, or None unless strongly connected.
+
+        Every arc u -> v contributes level(u) + 1 - level(v) to the gcd of
+        all cycle lengths.  Computed once per graph.
+        """
         level = self._bfs_levels(False)
         if -1 in level or -1 in self._bfs_levels(True):
             return None
-        return level
-
-    def _period_levels(self) -> tuple[int, list[int]]:
-        """Period and forward BFS levels of a strongly connected graph.
-
-        Every arc u -> v contributes level(u) + 1 - level(v) to the gcd of
-        all cycle lengths.
-        """
-        level = self._levels()
-        if level is None:
-            raise PreconditionError("period needs a strongly connected graph")
         g = 0
         for u in range(self.n):
             for v in self.successors(u):
@@ -99,7 +94,7 @@ class SubstitutionGraph:
 
     def is_strongly_connected(self) -> bool:
         """Every vertex reaches and is reached by vertex 0."""
-        return self._levels() is not None
+        return self._period_levels is not None
 
     def period(self) -> int:
         """gcd of all cycle lengths of a strongly connected graph.
@@ -107,24 +102,25 @@ class SubstitutionGraph:
         Returns 0 for the degenerate strongly connected graph with no cycles
         (a single loopless vertex).
         """
-        return self._period_levels()[0]
+        found = self._period_levels
+        if found is None:
+            raise PreconditionError("period needs a strongly connected graph")
+        return found[0]
 
     def period_classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition A_0 .. A_{l-1} with every arc going from A_i to A_{i+1 mod l}."""
-        ell, level = self._period_levels()
+        ell = self.period()
         if ell == 0:
             return (tuple(range(self.n)),)
         classes: list[list[int]] = [[] for _ in range(ell)]
-        for v in range(self.n):
-            classes[level[v] % ell].append(v)
+        for v, lv in enumerate(self._period_levels[1]):
+            classes[lv % ell].append(v)
         return tuple(tuple(c) for c in classes)
 
     def is_primitive(self) -> bool:
         """Strongly connected with period 1."""
-        try:
-            return self.period() == 1
-        except PreconditionError:
-            return False
+        found = self._period_levels
+        return found is not None and found[0] == 1
 
     def is_primitive_by_powers(self) -> bool:
         """Independent route: some K <= (n-1)**2 + 1 joins all ordered pairs.

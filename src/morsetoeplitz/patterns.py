@@ -10,16 +10,22 @@ Two patterns are searched for:
   Toeplitz minimal set.
 
 Witnesses are reported deterministically: smallest start, then smallest
-half length.  The scan is the naive quadratic sweep over (start, half
-length); for long words the per-length equality tests are vectorized with
-numpy, which changes constants but not the asymptotics or the tie-break.
+half length.  Both scanners share one bit-parallel sweep over the half
+length h.  The word is packed into one Python int per bit of the letter
+code, and from these one int E_h whose bit i says w[i] == w[i + h].  An
+overlap of half h at i is h + 1 consecutive ones of E_h from bit i; an even
+square is h ones there whose half holds evenly many marked letters, read
+off a prefix-parity int.  A run of k ones takes about log2(k) shift-and
+steps.  The lowest set bit gives the least start for each h, and h grows,
+so a later h replaces the witness only with a strictly smaller start: the
+same (start, half length) tie-break as the plain double loop over starts
+and half lengths.  The sweep is still quadratic in the word length, but
+each big-int step covers a machine word of starts at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CapacityError, DomainError
 from .substitution import MORSE, TOEPLITZ
@@ -31,8 +37,8 @@ EVEN_SQUARE_KIND = "even_square_BB"
 #: Words longer than this are refused by the scanners.
 DEFAULT_SCAN_CAP = 1 << 16
 
-# below this length the plain double loop beats numpy's call overhead
-_VECTOR_MIN = 96
+# digit tables for bytes.translate: plane j maps a letter to bit j of its code
+_BIT_TABLES = tuple(bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8))
 
 
 @dataclass(frozen=True)
@@ -66,84 +72,67 @@ def _check_scan_len(w: Word, max_len: int) -> None:
         raise CapacityError(f"word of length {len(w)} exceeds scan cap {max_len}")
 
 
-def _overlap_small(data: bytes) -> PatternWitness | None:
+def _plane(data: bytes, table: bytes) -> int:
+    """Bit i is the digit that ``table`` gives the letter data[i].
+
+    Base 2 is exempt from the int-string digit limit.
+    """
+    return int(data[::-1].translate(table), 2)
+
+
+def _least_repeat(
+    data: bytes, extra: int, zero: int | None = None
+) -> tuple[int, int] | None:
+    """Least (start, half) of a factor of length 2*half + extra with period
+    half; with ``zero`` set, only those whose first half holds evenly many
+    ``zero`` letters count."""
     n = len(data)
-    for i in range(n - 2):
-        top = (n - 1 - i) // 2
-        for ell in range(1, top + 1):
-            if (
-                data[i + 2 * ell] == data[i]
-                and data[i : i + ell] == data[i + ell : i + 2 * ell]
-            ):
-                return PatternWitness(i, ell, OVERLAP_KIND)
-    return None
-
-
-def _overlap_vector(data: bytes) -> PatternWitness | None:
-    a = np.frombuffer(data, dtype=np.uint8)
-    n = len(a)
-    best: tuple[int, int] | None = None
-    for ell in range(1, (n - 1) // 2 + 1):
-        eq = a[:-ell] == a[ell:]
-        count = n - 2 * ell  # candidate starts 0 .. count-1
-        if count <= 0:
-            break
-        c = np.concatenate(([0], np.cumsum(eq)))
-        runs = (c[ell + 1 : ell + 1 + count] - c[:count]) == ell + 1
-        hits = np.flatnonzero(runs)
-        if hits.size:
-            cand = (int(hits[0]), ell)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    top = (n - extra) // 2
+    if top < 1:
         return None
-    return PatternWitness(best[0], best[1], OVERLAP_KIND)
+    planes = [_plane(data, _BIT_TABLES[j]) for j in range(max(data).bit_length())]
+    full = (1 << n) - 1
+    if zero is not None:
+        # bit i of q: parity of the zero letters in data[: i + 1]; in a square
+        # data[i] == data[i + half], so q[i] == q[i + half] says the half at i
+        # holds evenly many
+        marked = bytearray(b"0" * 256)
+        marked[zero] = ord("1")
+        q = _plane(data, marked)
+        step = 1
+        while step < n:
+            q ^= q << step
+            step <<= 1
+        q &= full
+    best: tuple[int, int] | None = None
+    for half in range(1, top + 1):
+        diff = 0
+        for p in planes:
+            diff |= p ^ (p >> half)
+        # bit i: data[i] == data[i + half]; bits i >= n - half are junk, and
+        # so are the run bits they feed, which all lie above the last start
+        runs = diff ^ full
+        need, have = half + extra, 1
+        while have < need and runs:
+            step = min(have, need - have)
+            runs &= runs >> step
+            have += step
+        if zero is not None and runs:
+            runs &= ~(q ^ (q >> half))
+        if runs:
+            start = (runs & -runs).bit_length() - 1
+            if start <= n - 2 * half - extra and (best is None or start < best[0]):
+                best = (start, half)
+                if start == 0:
+                    break
+    return best
 
 
 def find_overlap(w: Word, max_len: int = DEFAULT_SCAN_CAP) -> PatternWitness | None:
     """First overlap BBb in the word, or None; works over any alphabet."""
     _check_scan_len(w, max_len)
-    if len(w) < 3:
-        return None
-    if len(w) < _VECTOR_MIN:
-        return _overlap_small(w.letters)
-    return _overlap_vector(w.letters)
-
-
-def _even_square_small(data: bytes, zero: int) -> PatternWitness | None:
-    n = len(data)
-    for i in range(n - 1):
-        top = (n - i) // 2
-        for ell in range(1, top + 1):
-            if (
-                data[i : i + ell] == data[i + ell : i + 2 * ell]
-                and data[i : i + ell].count(zero) % 2 == 0
-            ):
-                return PatternWitness(i, ell, EVEN_SQUARE_KIND, zero)
-    return None
-
-
-def _even_square_vector(data: bytes, zero: int) -> PatternWitness | None:
-    a = np.frombuffer(data, dtype=np.uint8)
-    n = len(a)
-    z = np.concatenate(([0], np.cumsum(a == zero)))
-    best: tuple[int, int] | None = None
-    for ell in range(1, n // 2 + 1):
-        eq = a[:-ell] == a[ell:]
-        count = n - 2 * ell + 1
-        if count <= 0:
-            break
-        c = np.concatenate(([0], np.cumsum(eq)))
-        square = (c[ell : ell + count] - c[:count]) == ell
-        even = (z[ell : ell + count] - z[:count]) % 2 == 0
-        hits = np.flatnonzero(square & even)
-        if hits.size:
-            cand = (int(hits[0]), ell)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
-    return PatternWitness(best[0], best[1], EVEN_SQUARE_KIND, zero)
+    hit = _least_repeat(w.letters, 1)
+    return None if hit is None else PatternWitness(*hit, OVERLAP_KIND)
 
 
 def find_even_square(
@@ -157,11 +146,8 @@ def find_even_square(
     _check_scan_len(w, max_len)
     if not 0 <= zero < w.alphabet.size:
         raise DomainError(f"marked letter {zero} not in alphabet {w.alphabet}")
-    if len(w) < 2:
-        return None
-    if len(w) < _VECTOR_MIN:
-        return _even_square_small(w.letters, zero)
-    return _even_square_vector(w.letters, zero)
+    hit = _least_repeat(w.letters, 0, zero)
+    return None if hit is None else PatternWitness(*hit, EVEN_SQUARE_KIND, zero)
 
 
 @dataclass(frozen=True)

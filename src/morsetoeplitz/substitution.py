@@ -43,6 +43,11 @@ from .words import Alphabet, Window, Word, phase_tokens
 #: Cap on the length of any materialized word.
 DEFAULT_MAX_LEN = 1 << 20
 
+#: Cap on the bytes of n-factors that ``language(n)`` may collect: n times the
+#: number of factor positions in its covering words.  Morse at n = 4096 needs
+#: 2**26 and change; n = 8192 would need 2**28.
+LANGUAGE_BYTES_CAP = 1 << 27
+
 
 @dataclass(frozen=True, order=True)
 class Seed:
@@ -182,7 +187,11 @@ class Substitution:
     # -- language ---------------------------------------------------------
 
     def language(self, n: int) -> frozenset[Word]:
-        """The set of n-blocks of the minimal system of a primitive substitution."""
+        """The set of n-blocks of the minimal system of a primitive substitution.
+
+        Raises CapacityError before building the set when its covering words
+        hold more than ``LANGUAGE_BYTES_CAP`` bytes of n-factors.
+        """
         self._require_primitive(n)
         return _language(self, n)
 
@@ -310,12 +319,16 @@ def _covering_words(sub: Substitution, n: int) -> tuple[Word, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _language(sub: Substitution, n: int) -> frozenset[Word]:
-    """The n-factors of the covering words."""
-    blocks = {
-        x[i : i + n]
-        for x in (w.letters for w in _covering_words(sub, n))
-        for i in range(len(x) - n + 1)
-    }
+    """The n-factors of the covering words, refused up front when they
+    could hold more than ``LANGUAGE_BYTES_CAP`` bytes."""
+    words = [w.letters for w in _covering_words(sub, n)]
+    size = n * sum(len(x) - n + 1 for x in words)
+    if size > LANGUAGE_BYTES_CAP:
+        raise CapacityError(
+            f"language({n}) could hold {size} bytes of blocks, over cap "
+            f"{LANGUAGE_BYTES_CAP}"
+        )
+    blocks = {x[i : i + n] for x in words for i in range(len(x) - n + 1)}
     return frozenset(Word(sub.alphabet, b) for b in blocks)
 
 

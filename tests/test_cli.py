@@ -2,13 +2,18 @@
 
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import morsetoeplitz
 from morsetoeplitz import LocalRule, Seed, rule_to_json
 from morsetoeplitz.cli import main
 from morsetoeplitz.words import BINARY
@@ -99,6 +104,13 @@ class TestLanguage:
         result = invoke(runner, "language", "--sub", "0->11;1->00", "--n", "2")
         assert result.exit_code == 2
         assert "error:" in result.stderr
+
+    def test_oversized_language_is_refused(self, runner):
+        start = time.perf_counter()
+        result = invoke(runner, "language", "--sub", MORSE_SPEC, "--n", "65536")
+        assert time.perf_counter() - start < 1
+        assert_input_error(result)
+        assert "over cap" in result.stderr
 
 
 class TestCheck:
@@ -669,3 +681,15 @@ def test_exit_code_contract(name, data):
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     if result.exit_code == 2:
         assert result.stderr.startswith("error: "), argv
+
+
+def test_cli_import_loads_no_numpy():
+    """The runtime needs click only: a fresh interpreter that imports the
+    CLI has not loaded numpy."""
+    src = Path(morsetoeplitz.__file__).resolve().parents[1]
+    code = "import sys, morsetoeplitz.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -103,6 +103,22 @@ class TestExamples:
         with pytest.raises(PreconditionError):
             g.period()
 
+    def test_connectivity_runs_once_per_graph(self, monkeypatch):
+        """The four structure queries share one pair of BFS passes."""
+        calls = []
+        bfs = SubstitutionGraph._bfs_levels
+        monkeypatch.setattr(
+            SubstitutionGraph,
+            "_bfs_levels",
+            lambda graph, transpose: calls.append(transpose) or bfs(graph, transpose),
+        )
+        graph = build_graph(parse_substitution("0->11;1->00"))
+        assert graph.is_strongly_connected()
+        assert graph.period() == 2
+        assert graph.period_classes() == ((0,), (1,))
+        assert not graph.is_primitive()
+        assert calls == [False, True]
+
 
 class TestPowerSupport:
     """Arcs of the graph mirror letter occurrences in substitution powers."""

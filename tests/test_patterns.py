@@ -19,13 +19,7 @@ from morsetoeplitz import (
     find_even_square,
     find_overlap,
 )
-from morsetoeplitz.patterns import (
-    _VECTOR_MIN,
-    _even_square_small,
-    _even_square_vector,
-    _overlap_small,
-    _overlap_vector,
-)
+from patterns_oracle import _even_square_small, _overlap_small
 
 
 def brute_overlap(data):
@@ -137,22 +131,64 @@ class TestFindEvenSquare:
         assert find_even_square(win.word) is None
 
 
-class TestVectorizedAgreesWithLoop:
-    """Same witnesses on both sides of the length threshold."""
+class TestAgreesWithTheLoopOracle:
+    """Same witnesses as the quadratic loop in ``patterns_oracle``."""
 
-    def test_random_words_around_the_threshold(self):
+    @staticmethod
+    def agree(data, size, zero=0):
+        word = Word(Alphabet.from_names("01234"[:size]), data)
+        overlap, square = find_overlap(word), find_even_square(word, zero)
+        assert loc(overlap) == loc(_overlap_small(data)), data
+        assert loc(square) == loc(_even_square_small(data, zero)), (data, zero)
+        for hit in (overlap, square):
+            assert hit is None or hit.matches(word)
+
+    def test_random_words(self):
         rng = random.Random(20240817)
-        for _ in range(150):
-            n = rng.randrange(_VECTOR_MIN - 8, _VECTOR_MIN + 40)
-            data = bytes(rng.randrange(2) for _ in range(n))
-            assert loc(_overlap_small(data)) == loc(_overlap_vector(data))
-            assert loc(_even_square_small(data, 0)) == loc(_even_square_vector(data, 0))
+        for size in (2, 3, 4, 5):
+            for n in (64, 100, 255, 512, 1024, 2048):
+                data = bytes(rng.randrange(size) for _ in range(n))
+                self.agree(data, size, rng.randrange(size))
+
+    def test_planted_witnesses(self, morse, toeplitz):
+        """One pattern planted late in a pattern-free word, so the sweep runs
+        through many half lengths before it meets it."""
+        rng = random.Random(7)
+        m = morse.periodic_window(Seed(0, 0, 2), 512).word.letters
+        t = toeplitz.periodic_window(Seed(0, 0, 2), 512).word.letters
+        for _ in range(12):
+            half = rng.randrange(1, 100)
+            at = rng.randrange(len(m) - 2 * half - 1)
+            data = bytearray(m)
+            data[at + half : at + 2 * half + 1] = data[at : at + half + 1]
+            self.agree(bytes(data), 2)
+            data = bytearray(t)
+            data[at + half : at + 2 * half] = data[at : at + half]
+            if data[at : at + half].count(0) % 2:
+                data[at] = data[at + half] = 1 - data[at]
+            self.agree(bytes(data), 2)
+
+    def test_larger_letter_codes(self):
+        """Letters that use every bit plane of a byte, with a marked letter
+        that need not occur."""
+        rng = random.Random(3)
+        letters = (0, 1, 128, 254)
+        alphabet = Alphabet(tuple(chr(0x100 + i) for i in range(255)))
+        for n in (64, 300, 1000):
+            data = bytes(rng.choice(letters) for _ in range(n))
+            word = Word(alphabet, data)
+            for zero in (0, 254, 7):
+                assert loc(find_even_square(word, zero)) == loc(
+                    _even_square_small(data, zero)
+                )
+            assert loc(find_overlap(word)) == loc(_overlap_small(data))
 
     def test_pattern_free_long_words(self, morse, toeplitz):
-        m = morse.periodic_window(Seed(0, 0, 2), 64).word.letters
-        t = toeplitz.periodic_window(Seed(0, 0, 2), 64).word.letters
-        assert _overlap_small(m) is None and _overlap_vector(m) is None
-        assert _even_square_small(t, 0) is None and _even_square_vector(t, 0) is None
+        m = morse.periodic_window(Seed(0, 0, 2), 2048).word
+        t = toeplitz.periodic_window(Seed(0, 0, 2), 2048).word
+        assert len(m) == len(t) == 4096
+        assert find_overlap(m) is None and _overlap_small(m.letters) is None
+        assert find_even_square(t) is None and _even_square_small(t.letters, 0) is None
 
 
 class TestWitnessReplay:

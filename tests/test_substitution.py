@@ -1,5 +1,7 @@
 """Constant-length substitutions: parsing, periodic points, and languages."""
 
+import time
+
 import pytest
 
 from morsetoeplitz import (
@@ -19,6 +21,7 @@ from morsetoeplitz import (
     parse_substitution,
     system_seeds,
 )
+from morsetoeplitz.substitution import LANGUAGE_BYTES_CAP
 from morsetoeplitz.words import Window
 
 
@@ -214,6 +217,18 @@ class TestLanguage:
     def test_needs_primitivity(self):
         with pytest.raises(PrimitivityError):
             parse_substitution("0->11;1->00").language(2)
+
+    def test_size_cap_refuses_before_building(self, morse):
+        start = time.perf_counter()
+        for n in (8192, 65536):
+            with pytest.raises(CapacityError, match=rf"language\({n}\)"):
+                morse.language(n)
+        assert time.perf_counter() - start < 1
+
+    def test_size_cap_admits_morse_at_4096(self, morse):
+        n = 4096
+        bound = n * sum(len(w) - n + 1 for w in morse.covering_words(n))
+        assert bound <= LANGUAGE_BYTES_CAP
 
 
 class TestStructure:
