@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import graphs
@@ -104,22 +106,27 @@ class Substitution:
         """Image of a word, letterwise concatenation; length multiplies by r."""
         if w.alphabet != self.alphabet:
             raise DomainError("word is over a different alphabet")
-        imgs = [im.letters for im in self.images]
-        return Word(self.alphabet, b"".join(imgs[a] for a in w.letters))
+        return Word(self.alphabet, _image(self._letters, w.letters))
 
     def power(self, k: int, max_len: int = DEFAULT_MAX_LEN) -> Substitution:
         """The k-th iterate as a substitution of length r**k."""
         if k < 1:
             raise RangeError("power needs k >= 1")
-        if self.length**k > max_len:
-            raise CapacityError(f"r**k = {self.length}**{k} exceeds cap {max_len}")
-        base = [im.letters for im in self.images]
-        cur = list(base)
+        self._check_power(k, max_len)
+        cur = self._letters
         for _ in range(k - 1):
-            cur = [b"".join(base[a] for a in w) for w in cur]
+            cur = [_image(self._letters, w) for w in cur]
         return Substitution(
             self.alphabet, tuple(Word(self.alphabet, w) for w in cur)
         )
+
+    def _check_power(self, k: int, max_len: int) -> None:
+        if self.length**k > max_len:
+            raise CapacityError(f"r**k = {self.length}**{k} exceeds cap {max_len}")
+
+    @functools.cached_property
+    def _letters(self) -> tuple[bytes, ...]:
+        return tuple(im.letters for im in self.images)
 
     # -- periodic points --------------------------------------------------
 
@@ -169,19 +176,19 @@ class Substitution:
             raise SeedError(f"seed {seed} is malformed for {self}")
         if seed not in set(self.periodic_seeds(seed.period)):
             raise SeedError(f"seed {seed} is not admissible for {self}")
-        sp = self.power(seed.period, max_len)
-        imgs = [im.letters for im in sp.images]
-        left = bytes([seed.left])
-        right = bytes([seed.right])
-        while len(left) < radius:
-            left = b"".join(imgs[a] for a in left)
-            if len(left) > max_len:
-                raise CapacityError(f"window growth exceeds cap {max_len}")
-        while len(right) < radius:
-            right = b"".join(imgs[a] for a in right)
-            if len(right) > max_len:
-                raise CapacityError(f"window growth exceeds cap {max_len}")
-        body = left[-radius:] + right[:radius]
+        self._check_power(seed.period, max_len)
+
+        def grow(word: bytes) -> bytes:
+            # one round applies sigma**period; lengths only grow within a
+            # round, so checking every step refuses the same radii
+            while len(word) < radius:
+                for _ in range(seed.period):
+                    word = _image(self._letters, word)
+                    if len(word) > max_len:
+                        raise CapacityError(f"window growth exceeds cap {max_len}")
+            return word
+
+        body = grow(bytes([seed.left]))[-radius:] + grow(bytes([seed.right]))[:radius]
         return Window(Word(self.alphabet, body), radius)
 
     # -- language ---------------------------------------------------------
@@ -193,7 +200,7 @@ class Substitution:
         hold more than ``LANGUAGE_BYTES_CAP`` bytes of n-factors.
         """
         self._require_primitive(n)
-        return _language(self, n)
+        return _LANGUAGES.get(self, n)
 
     def covering_words(self, n: int) -> tuple[Word, ...]:
         """Words whose n-factors are exactly ``language(n)``.
@@ -208,11 +215,15 @@ class Substitution:
     def _require_primitive(self, n: int) -> None:
         if n < 1:
             raise RangeError("language needs n >= 1")
-        if not graphs.build_graph(self).is_primitive():
+        if not self._primitive:
             raise PrimitivityError(
                 "language is defined for primitive substitutions only; analyze the "
                 "graph, or collapse equal images with identify_equal_images first"
             )
+
+    @functools.cached_property
+    def _primitive(self) -> bool:
+        return graphs.build_graph(self).is_primitive()
 
     # -- structure --------------------------------------------------------
 
@@ -288,10 +299,24 @@ class Substitution:
         ]
 
 
+def _image(imgs: tuple[bytes, ...], data: bytes) -> bytes:
+    """The image of ``data`` under letter images ``imgs`` of one length r.
+
+    Offset t of every image is one translation of ``data`` through the
+    table a -> imgs[a][t], written to every r-th byte of the result.
+    """
+    r = len(imgs[0])
+    columns = b"".join(imgs)
+    out = bytearray(len(data) * r)
+    for t in range(r):
+        out[t::r] = data.translate(columns[t::r].ljust(256, b"\0"))
+    return bytes(out)
+
+
 def _covering_words(sub: Substitution, n: int) -> tuple[Word, ...]:
     """2-block closure, then the image of each 2-block under an iterate
     whose letter images have length at least n."""
-    imgs = [im.letters for im in sub.images]
+    imgs = sub._letters
     w0 = imgs[0]
     pairs = {w0[i : i + 2] for i in range(len(w0) - 1)}
     changed = True
@@ -317,10 +342,13 @@ def _covering_words(sub: Substitution, n: int) -> tuple[Word, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def _language(sub: Substitution, n: int) -> frozenset[Word]:
     """The n-factors of the covering words, refused up front when they
-    could hold more than ``LANGUAGE_BYTES_CAP`` bytes."""
+    could hold more than ``LANGUAGE_BYTES_CAP`` bytes.
+
+    A covering word sigma**m(ab) is read only at starts i < r**m: every
+    n-block with n <= r**m starts inside sigma**m(a) for some 2-block ab.
+    """
     words = [w.letters for w in _covering_words(sub, n)]
     size = n * sum(len(x) - n + 1 for x in words)
     if size > LANGUAGE_BYTES_CAP:
@@ -328,8 +356,47 @@ def _language(sub: Substitution, n: int) -> frozenset[Word]:
             f"language({n}) could hold {size} bytes of blocks, over cap "
             f"{LANGUAGE_BYTES_CAP}"
         )
-    blocks = {x[i : i + n] for x in words for i in range(len(x) - n + 1)}
+    starts = range(len(words[0]) // 2)
+    blocks = {x[i : i + n] for x in words for i in starts}
     return frozenset(Word(sub.alphabet, b) for b in blocks)
+
+
+class _LanguageCache:
+    """Languages by (substitution, n), least recently used first.
+
+    Each entry is charged n bytes per block; once the total passes ``cap``
+    the least recently used entries are dropped.  An entry never exceeds
+    ``LANGUAGE_BYTES_CAP`` on its own, so with that cap the newest entry
+    always stays.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.charged = 0
+        self.entries: OrderedDict[tuple[Substitution, int], frozenset[Word]] = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def get(self, sub: Substitution, n: int) -> frozenset[Word]:
+        key = (sub, n)
+        with self._lock:
+            blocks = self.entries.get(key)
+            if blocks is not None:
+                self.entries.move_to_end(key)
+                return blocks
+        blocks = _language(sub, n)
+        with self._lock:
+            if key not in self.entries:
+                self.entries[key] = blocks
+                self.charged += n * len(blocks)
+            while self.charged > self.cap:
+                (_, m), old = self.entries.popitem(last=False)
+                self.charged -= m * len(old)
+        return blocks
+
+
+_LANGUAGES = _LanguageCache(LANGUAGE_BYTES_CAP)
 
 
 def language_brute(

@@ -82,7 +82,8 @@ class Word:
     letters: bytes
 
     def __post_init__(self) -> None:
-        if self.letters and max(self.letters) >= self.alphabet.size:
+        # deleting every in-range letter leaves exactly the out-of-range ones
+        if self.letters.translate(None, _LETTERS[: self.alphabet.size]):
             raise DomainError(
                 f"letter {max(self.letters)} out of range for alphabet {self.alphabet}"
             )
@@ -140,6 +141,7 @@ class Word:
 
 
 _SWAP01 = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_LETTERS = bytes(range(256))
 
 
 @dataclass(frozen=True)

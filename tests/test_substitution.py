@@ -1,9 +1,11 @@
 """Constant-length substitutions: parsing, periodic points, and languages."""
 
+import random
 import time
 
 import pytest
 
+import substitution_oracle as oracle
 from morsetoeplitz import (
     CapacityError,
     DegenerateError,
@@ -15,13 +17,15 @@ from morsetoeplitz import (
     SeedError,
     Substitution,
     BINARY,
+    Alphabet,
     Word,
     language_brute,
     minimal_seed_period,
     parse_substitution,
     system_seeds,
 )
-from morsetoeplitz.substitution import LANGUAGE_BYTES_CAP
+from morsetoeplitz import graphs
+from morsetoeplitz.substitution import LANGUAGE_BYTES_CAP, _LANGUAGES, _LanguageCache
 from morsetoeplitz.words import Window
 
 
@@ -87,6 +91,114 @@ class TestApplication:
         assert morse.image(1).text == "10"
         with pytest.raises(DomainError):
             morse.image(2)
+
+
+def random_substitution(rng, size, r):
+    """Random images of length r; letters 0 and size - 1 occur in them."""
+    imgs = [bytearray(rng.randrange(size) for _ in range(r)) for _ in range(size)]
+    imgs[rng.randrange(size)][rng.randrange(r)] = 0
+    imgs[rng.randrange(size)][rng.randrange(r)] = size - 1
+    alphabet = Alphabet(tuple(chr(0x4E00 + i) for i in range(size)))
+    return Substitution(alphabet, tuple(Word(alphabet, bytes(im)) for im in imgs))
+
+
+def letters(sub):
+    return [im.letters for im in sub.images]
+
+
+def first_seed(sub):
+    for p in range(1, 9):
+        seeds = sub.periodic_seeds(p)
+        if seeds:
+            return seeds[0]
+    return None
+
+
+def window_outcome(sub, seed, radius, max_len=1 << 20):
+    """Letters of the library's window and of the oracle's, or their
+    CapacityError texts."""
+    try:
+        win = sub.periodic_window(seed, radius, max_len=max_len)
+        assert win.origin == radius
+        got = win.word.letters
+    except CapacityError as err:
+        got = str(err)
+    try:
+        want = oracle.periodic_window(
+            letters(sub), seed.left, seed.right, seed.period, radius, max_len
+        )
+    except CapacityError as err:
+        want = str(err)
+    return got, want
+
+
+KERNEL_SHAPES = [(size, r) for size in (2, 3, 255) for r in range(2, 6)]
+
+
+class TestByteKernelsAgreeWithJoinOracle:
+    @pytest.mark.parametrize("size,r", KERNEL_SHAPES)
+    def test_apply(self, size, r):
+        rng = random.Random(size * 10 + r)
+        for _ in range(4):
+            sub = random_substitution(rng, size, r)
+            for n in (0, 1, 2, 7, 300):
+                data = bytes([0, size - 1]) + bytes(rng.randrange(size) for _ in range(n))
+                word = Word(sub.alphabet, data)
+                assert sub.apply(word).letters == oracle.image(letters(sub), data)
+
+    @pytest.mark.parametrize("size,r", KERNEL_SHAPES)
+    def test_power(self, size, r):
+        rng = random.Random(size * 100 + r)
+        sub = random_substitution(rng, size, r)
+        k = 1
+        while r ** (k + 1) <= 1024:
+            k += 1
+        for j in range(1, k + 1):
+            assert letters(sub.power(j)) == oracle.power(letters(sub), j)
+
+    @pytest.mark.parametrize("size,r", KERNEL_SHAPES)
+    def test_periodic_window(self, size, r):
+        rng = random.Random(size * 1000 + r)
+        tested = 0
+        for _ in range(6):
+            sub = random_substitution(rng, size, r)
+            seed = first_seed(sub)
+            if seed is None:
+                continue
+            for radius in (1, 2, 7, 100, 5000):
+                got, want = window_outcome(sub, seed, radius)
+                assert got == want
+            tested += isinstance(want, bytes)
+        assert tested >= 2
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_window_cap_refuses_the_same_radii(self, r):
+        rng = random.Random(r)
+        sub = random_substitution(rng, 3, r)
+        while first_seed(sub) is None or first_seed(sub).period > 2:
+            sub = random_substitution(rng, 3, r)
+        seed = first_seed(sub)
+        # one letter grows in rounds to step**j letters; the cap sits one
+        # below such a length, so growing to exactly max_len + 1 is refused
+        step = r**seed.period
+        max_len = step * step
+        while max_len < 200:
+            max_len *= step
+        max_len -= 1
+        refused = 0
+        for radius in range(1, 3 * max_len):
+            got, want = window_outcome(sub, seed, radius, max_len)
+            assert got == want
+            refused += isinstance(want, str)
+        assert 0 < refused < 3 * max_len - 1
+
+    def test_power_cap_message(self, morse):
+        with pytest.raises(CapacityError) as err:
+            morse.periodic_window(Seed(0, 0, 22), 4)
+        assert str(err.value) == "r**k = 2**22 exceeds cap 1048576"
+        with pytest.raises(CapacityError) as err:
+            morse.power(21)
+        assert str(err.value) == "r**k = 2**21 exceeds cap 1048576"
 
 
 class TestPeriodicSeeds:
@@ -197,9 +309,12 @@ class TestLanguage:
         ]
 
     def test_agrees_with_brute_oracle(self, morse, toeplitz, three_letter):
-        for sub in (morse, toeplitz, three_letter):
-            for n in range(1, 11):
-                assert sub.language(n) == language_brute(sub, n)
+        # squares and an r = 3 system cross every r**m boundary up to 70
+        bases = (morse, toeplitz, three_letter)
+        systems = bases + tuple(sub.power(2) for sub in bases)
+        for sub in systems + (parse_substitution("0->012;1->201;2->110"),):
+            for n in range(1, 71):
+                assert sub.language(n) == language_brute(sub, n), (sub.spec(), n)
 
     def test_brute_oracle_start_letter_is_irrelevant(self, morse):
         for letter in range(morse.alphabet.size):
@@ -224,6 +339,40 @@ class TestLanguage:
             with pytest.raises(CapacityError, match=rf"language\({n}\)"):
                 morse.language(n)
         assert time.perf_counter() - start < 1
+
+    def test_primitivity_is_checked_once(self, monkeypatch):
+        built = []
+        real = graphs.build_graph
+
+        def counting(sub):
+            built.append(sub)
+            return real(sub)
+
+        monkeypatch.setattr(graphs, "build_graph", counting)
+        sub = parse_substitution("0->01;1->10")
+        for n in (1, 2, 3, 2, 1, 3):
+            sub.language(n)
+        sub.covering_words(5)
+        assert len(built) == 1
+
+    def test_cache_evicts_the_least_recently_used(self, morse, toeplitz):
+        # charged n * blocks: morse 4 -> 40, morse 8 -> 176, toeplitz 8 -> 96,
+        # morse 5 -> 60
+        cache = _LanguageCache(300)
+        first = cache.get(morse, 4)
+        cache.get(morse, 8)
+        cache.get(toeplitz, 8)
+        assert list(cache.entries) == [(morse, 8), (toeplitz, 8)]
+        assert cache.charged == 272
+        cache.get(morse, 8)
+        cache.get(morse, 5)
+        assert list(cache.entries) == [(morse, 8), (morse, 5)]
+        assert cache.charged == 236
+        again = cache.get(morse, 4)
+        assert again == first and again is not first
+        assert again == language_brute(morse, 4)
+        assert list(cache.entries) == [(morse, 8), (morse, 5), (morse, 4)]
+        assert _LANGUAGES.cap == LANGUAGE_BYTES_CAP
 
     def test_size_cap_admits_morse_at_4096(self, morse):
         n = 4096

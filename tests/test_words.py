@@ -56,6 +56,29 @@ class TestWord:
         with pytest.raises(DomainError):
             Word(BINARY, b"\x02")
 
+    @pytest.mark.parametrize("size", [2, 3, 255])
+    def test_letter_range_at_the_alphabet_edge(self, size):
+        alphabet = Alphabet(tuple(chr(0x4E00 + i) for i in range(size)))
+        assert Word(alphabet, bytes([size - 1])).letters == bytes([size - 1])
+        assert Word(alphabet, b"").letters == b""
+        for bad in sorted({size, 255} - {size - 1}):
+            message = f"letter {bad} out of range for alphabet {alphabet}"
+            with pytest.raises(DomainError) as err:
+                Word(alphabet, bytes([0, bad, size - 1, 0]))
+            assert str(err.value) == message
+        # the message names the largest letter, not the first bad one
+        with pytest.raises(DomainError) as err:
+            Word(alphabet, bytes([size, 255, 0]) if size < 255 else b"\xff\x00")
+        assert str(err.value) == f"letter 255 out of range for alphabet {alphabet}"
+
+    def test_bytearray_letters(self):
+        w = Word(BINARY, bytearray(b"\x00\x01\x01"))
+        assert isinstance(w.letters, bytearray)
+        assert w.text == "011"
+        with pytest.raises(DomainError) as err:
+            Word(BINARY, bytearray(b"\x00\x03\x02"))
+        assert str(err.value) == "letter 3 out of range for alphabet 01"
+
     def test_len_iter_getitem(self):
         w = BINARY.word("010")
         assert len(w) == 3
