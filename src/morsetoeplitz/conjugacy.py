@@ -56,7 +56,7 @@ from .errors import (
 from .graphs import build_graph
 from .patterns import find_even_square, find_overlap
 from .sliding import LocalRule
-from .substitution import MORSE, TOEPLITZ, Substitution, system_seeds
+from .substitution import MORSE, TOEPLITZ, Substitution, _image, system_seeds
 from .words import Alphabet, BINARY, Window, Word, phase_tokens, tile_phases
 
 # failure reasons reported by the verifiers
@@ -528,11 +528,14 @@ def morse_identity_pairs(verdict: ParseVerdict) -> frozenset[tuple[int, int]]:
 
 # -- recoding -------------------------------------------------------------
 
+#: Token -> target letter: C0 (and C0') recode to letter 0, C1 (and C1') to 1.
+_PARITY = bytes(t & 1 for t in range(256))
 
-def _power_images(sub: Substitution, k: int) -> list[Word]:
+
+def _power_images(sub: Substitution, k: int) -> tuple[bytes, ...]:
     if k == 0:
-        return [Word(sub.alphabet, bytes([a])) for a in range(sub.alphabet.size)]
-    return list(sub.power(k).images)
+        return tuple(bytes([a]) for a in range(sub.alphabet.size))
+    return sub.power(k)._letters
 
 
 def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
@@ -545,8 +548,7 @@ def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
     except IndexError:
         raise RangeError(f"verdict has no phase entry {index}") from None
     target = kind.target
-    images = _power_images(target, k)
-    out = b"".join(images[t & 1].letters for t in entry.tokens.letters)
+    out = _image(_power_images(target, k), entry.tokens.letters.translate(_PARITY))
     origin = min(max(-entry.start, 0), len(out))
     window = Window(Word(target.alphabet, out), origin)
     depth = (1 << k) + 2

@@ -17,9 +17,11 @@ built-in two-to-one code from the Morse onto the Toeplitz minimal set.
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -31,6 +33,10 @@ from .words import Alphabet, BINARY, Window, Word
 DEFAULT_PREIMAGE_CAP = 1 << 22
 
 _MAX_WIDTH = 16
+
+#: Window codes are packed in slots of 1, 2, 4 or 8 bytes; the wider slots
+#: are read back as native unsigned integers of these formats.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,35 @@ class LocalRule:
     def out_len(self) -> int:
         return len(next(iter(self.table.values())))
 
+    @functools.cached_property
+    def _code_table(self) -> tuple[int, bytes | dict[int, int]] | None:
+        """Output letters by window code, with the code's slot in bytes.
+
+        A window's code reads its letters as base-s digits, s the input
+        alphabet size; the slot is the least of 1, 2, 4 and 8 bytes that
+        holds every code.  One-byte codes map through a 256-byte
+        translation table, wider ones through a dict.  Byte 255, never a
+        letter of an alphabet of at most 255 letters, marks undefined
+        windows.  None when codes need more than 8 bytes: only a partial
+        rule can be that wide.
+        """
+        size = self.input_alphabet.size
+        slot = next((b for b in _SLOT_FORMATS if size**self.width <= 256**b), None)
+        if slot is None:
+            return None
+        letters = {}
+        for key, value in self.table.items():
+            code = 0
+            for letter in key:
+                code = code * size + letter
+            letters[code] = value[0]
+        if slot > 1:
+            return slot, letters
+        table = bytearray(b"\xff" * 256)
+        for code, letter in letters.items():
+            table[code] = letter
+        return slot, bytes(table)
+
     def lookup(self, window: bytes) -> bytes:
         value = self.table.get(window)
         if value is None:
@@ -135,9 +170,45 @@ def apply_to_word(rule: LocalRule, w: Word) -> Word:
     width = rule.width
     if len(w) < width:
         raise RangeError(f"word of length {len(w)} shorter than window width {width}")
-    data = w.letters
-    out = b"".join(rule.lookup(data[i : i + width]) for i in range(len(data) - width + 1))
-    return Word(rule.output_alphabet, out)
+    return Word(rule.output_alphabet, _slide(rule, w.letters))
+
+
+def _slide(rule: LocalRule, data: bytes) -> bytes:
+    """The output letter of every window of ``data``, in order.
+
+    Window i has the code c_i = sum_k data[i + k] * s**(w - 1 - k).  With
+    each letter in the low byte of its own slot, term k over all windows
+    is one integer read off data[k : k + len(data) - w + 1]; w big-int
+    multiply-adds sum the terms, no code overflows its slot, so no carry
+    crosses slots, and the integer's bytes are the codes in order.  One
+    translation (one-byte codes) or one dict pass maps them to letters.
+    """
+    width = rule.width
+    plan = rule._code_table
+    if plan is None:
+        return b"".join(
+            rule.lookup(data[i : i + width]) for i in range(len(data) - width + 1)
+        )
+    slot, table = plan
+    count = (len(data) - width + 1) * slot
+    spread = data
+    if slot > 1:
+        spread = bytearray(len(data) * slot)
+        spread[0 if sys.byteorder == "little" else slot - 1 :: slot] = data
+    size = rule.input_alphabet.size
+    code = 0
+    for k in range(0, width * slot, slot):
+        code = code * size + int.from_bytes(spread[k : k + count], sys.byteorder)
+    codes = code.to_bytes(count, sys.byteorder)
+    if slot == 1:
+        out = codes.translate(table)
+    else:
+        slots = memoryview(codes).cast(_SLOT_FORMATS[slot])
+        out = bytes(map(table.get, slots, repeat(255)))
+    bad = out.find(255)
+    if bad >= 0:
+        rule.lookup(data[bad : bad + width])
+    return out
 
 
 def apply_code(rule: LocalRule, win: Window) -> Window:

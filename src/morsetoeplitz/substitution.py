@@ -40,7 +40,7 @@ from .errors import (
     RangeError,
     SeedError,
 )
-from .words import Alphabet, Window, Word, phase_tokens
+from .words import Alphabet, Window, Word, _trusted_word, phase_tokens
 
 #: Cap on the length of any materialized word.
 DEFAULT_MAX_LEN = 1 << 20
@@ -358,7 +358,7 @@ def _language(sub: Substitution, n: int) -> frozenset[Word]:
         )
     starts = range(len(words[0]) // 2)
     blocks = {x[i : i + n] for x in words for i in starts}
-    return frozenset(Word(sub.alphabet, b) for b in blocks)
+    return frozenset(_trusted_word(sub.alphabet, b) for b in blocks)
 
 
 class _LanguageCache:

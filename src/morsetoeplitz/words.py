@@ -38,6 +38,15 @@ class Alphabet:
         for sym in self.symbols:
             if len(sym) != 1 or not sym.isprintable() or sym == ".":
                 raise DomainError(f"bad alphabet symbol {sym!r}")
+        # every Word hash hashes its alphabet: hash the symbols once
+        object.__setattr__(self, "_hash", hash((self.symbols,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than restore: string hashes differ between processes
+        return (Alphabet, (self.symbols,))
 
     @classmethod
     def from_names(cls, names: str) -> Alphabet:
@@ -125,7 +134,7 @@ class Word:
             raise RangeError(f"factor length {n} out of range 1..{len(self.letters)}")
         data = self.letters
         seen = {data[i : i + n] for i in range(len(data) - n + 1)}
-        return {Word(self.alphabet, b) for b in seen}
+        return {_trusted_word(self.alphabet, b) for b in seen}
 
     def complement(self) -> Word:
         """Swap the two letters of a binary word (the bar map)."""
@@ -138,6 +147,17 @@ class Word:
         if not 0 <= letter < self.alphabet.size:
             raise DomainError(f"letter {letter} not in alphabet {self.alphabet}")
         return self.letters.count(letter)
+
+
+def _trusted_word(alphabet: Alphabet, letters: bytes) -> Word:
+    """A Word that skips the letter check of ``Word.__post_init__``; only for
+    letters sliced from a word over the same alphabet, which passed it."""
+    word = object.__new__(Word)
+    # set attributes one by one: touching __dict__ would give every word a
+    # dict of its own, about 150 bytes more per block
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 _SWAP01 = bytes.maketrans(b"\x00\x01", b"\x01\x00")

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+import sliding_oracle as oracle
 
 from morsetoeplitz import (
     BINARY,
@@ -294,6 +295,109 @@ class TestImageLanguage:
         with pytest.raises(DomainError):
             image_language(oxtoby, [BINARY.word("010"), BINARY.word("01")])
 
+
+SYMBOLS = tuple(chr(0x4E00 + i) for i in range(255))
+
+#: (alphabet size s, window width w): the least of 1, 2, 4 and 8 bytes that
+#: holds s**w codes is every slot in turn, and s**w > 2**64 keeps the
+#: window-by-window loop.
+KERNEL_SHAPES = [
+    (2, 1), (2, 3), (2, 8), (2, 9), (2, 12),
+    (3, 2), (3, 5), (3, 6), (3, 11),
+    (4, 4), (4, 5), (4, 9),
+    (5, 3), (5, 4), (5, 7), (5, 14),
+    (17, 1), (17, 2), (17, 4), (17, 8), (17, 16),
+    (255, 1), (255, 2), (255, 3), (255, 5), (255, 9),
+]
+
+#: Rules with at most this many windows are total, wider ones partial.
+TOTAL_WINDOWS = 4096
+
+
+def code_slot(size, width):
+    return next((b for b in (1, 2, 4, 8) if size**width <= 256**b), None)
+
+
+def kernel_rule(rng, size, width, memory, keys, out_size):
+    """A letter-valued rule on ``keys``, total when they are every window;
+    the last output letter is always used."""
+    total = len(keys) == size**width
+    table = {k: bytes([rng.randrange(out_size)]) for k in keys}
+    table[rng.choice(sorted(keys))] = bytes([out_size - 1])
+    return LocalRule(
+        Alphabet(SYMBOLS[:size]),
+        Alphabet(SYMBOLS[:out_size]),
+        memory,
+        width - 1 - memory,
+        table,
+        None if total else frozenset(keys),
+    )
+
+
+def kernel_keys(rng, size, width, words):
+    """Every window when there are few, else the windows of ``words`` and
+    a few more."""
+    if size**width <= TOTAL_WINDOWS:
+        return {bytes(t) for t in itertools.product(range(size), repeat=width)}
+    keys = {w[i : i + width] for w in words for i in range(len(w) - width + 1)}
+    return keys | {bytes(rng.randrange(size) for _ in range(width)) for _ in range(20)}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, RangeError) as err:
+        return type(err).__name__, str(err)
+
+
+class TestKernelAgreesWithJoinOracle:
+    def test_shapes_cover_every_code_slot(self):
+        assert {code_slot(s, w) for s, w in KERNEL_SHAPES} == {1, 2, 4, 8, None}
+        assert {s for s, _ in KERNEL_SHAPES} == {2, 3, 4, 5, 17, 255}
+
+    @pytest.mark.parametrize("size,width", KERNEL_SHAPES)
+    def test_every_memory_split(self, size, width):
+        rng = random.Random(size * 100 + width)
+        for memory in range(width):
+            words = [
+                bytes([size - 1]) + bytes(rng.randrange(size) for _ in range(n - 1))
+                for n in (width, width, width + 1, width + 2, width + 97)
+            ]
+            keys = kernel_keys(rng, size, width, words)
+            rule = kernel_rule(rng, size, width, memory, keys, (2, 3, 255)[memory % 3])
+            for data in words:
+                word = Word(rule.input_alphabet, data)
+                assert apply_to_word(rule, word).letters == oracle.apply(rule, data)
+                for origin in sorted({0, memory, len(data) // 2, len(data)}):
+                    got = outcome(apply_code, rule, Window(word, origin))
+                    if isinstance(got, Window):
+                        got = got.word.letters, got.origin
+                    assert got == outcome(oracle.apply_code, rule, data, origin)
+            same = [w for w in words if len(w) == width]
+            image = image_language(rule, [Word(rule.input_alphabet, w) for w in same])
+            assert {w.letters for w in image} == oracle.image_language(rule, same)
+
+    @pytest.mark.parametrize("size,width", KERNEL_SHAPES)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_first_undefined_window_raises(self, size, width, where):
+        rng = random.Random(size * 100 + width)
+        top = size - 1
+        # the one run of `width` top letters is the one undefined window
+        data = bytearray(rng.randrange(top) if top > 1 else 0 for _ in range(width + 40))
+        at = {"first": 0, "middle": 20, "last": 40}[where]
+        data[at : at + width] = bytes([top]) * width
+        data = bytes(data)
+        hole = bytes([top]) * width
+        keys = kernel_keys(rng, size, width, [data]) - {hole}
+        rule = kernel_rule(rng, size, width, width // 2, keys, 3)
+        word = Word(rule.input_alphabet, data)
+        text = f"rule is undefined on window {Word(rule.input_alphabet, hole).text!r}"
+        assert outcome(oracle.apply, rule, data) == ("DomainError", text)
+        assert outcome(apply_to_word, rule, word) == ("DomainError", text)
+        assert outcome(apply_code, rule, Window(word, 0)) == ("DomainError", text)
+        clean = data[:width] if where == "last" else data[-width:]
+        blocks = [Word(rule.input_alphabet, b) for b in (clean, hole)]
+        assert outcome(image_language, rule, blocks) == ("DomainError", text)
 
 class TestSerialization:
     def test_round_trip_total_rule(self, oxtoby):

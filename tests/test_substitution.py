@@ -316,6 +316,15 @@ class TestLanguage:
             for n in range(1, 71):
                 assert sub.language(n) == language_brute(sub, n), (sub.spec(), n)
 
+    def test_blocks_are_checked_words(self, morse, three_letter):
+        for sub in (morse, three_letter):
+            for n in (1, 5, 33):
+                blocks = sub.language(n)
+                checked = {Word(sub.alphabet, b.letters) for b in blocks}
+                assert blocks == checked
+                assert {hash(b) for b in blocks} == {hash(c) for c in checked}
+                assert all(b.alphabet == sub.alphabet and len(b) == n for b in blocks)
+
     def test_brute_oracle_start_letter_is_irrelevant(self, morse):
         for letter in range(morse.alphabet.size):
             assert language_brute(morse, 6, letter=letter) == morse.language(6)

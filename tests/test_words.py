@@ -1,5 +1,7 @@
 """Alphabet, Word, and Window basics."""
 
+import pickle
+
 import pytest
 
 from morsetoeplitz import Alphabet, BINARY, DomainError, RangeError, Word, parse_window
@@ -42,6 +44,20 @@ class TestAlphabet:
     def test_dot_reserved_for_windows(self):
         with pytest.raises(DomainError):
             Alphabet((".", "x"))
+
+    def test_separately_built_alphabets_hash_equal(self):
+        symbols = tuple(chr(0x4E00 + i) for i in range(255))
+        a, b = Alphabet(symbols), Alphabet(tuple(list(symbols)))
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((symbols,))
+        assert hash(Alphabet.from_names("01")) == hash(BINARY)
+        assert Alphabet.from_names("10") != BINARY
+        assert {a: 1}[b] == 1
+
+    def test_pickled_alphabet_rebuilds(self):
+        copy = pickle.loads(pickle.dumps(BINARY))
+        assert copy == BINARY and hash(copy) == hash(BINARY)
+        assert copy.word("01") == BINARY.word("01")
 
     def test_word_parsing_round_trip(self):
         w = BINARY.word("0110")
@@ -102,6 +118,25 @@ class TestWord:
         w = BINARY.word("0110")
         assert {f.text for f in w.factors(2)} == {"01", "11", "10"}
         assert {f.text for f in w.factors(4)} == {"0110"}
+
+    def test_factors_are_checked_words(self):
+        three = Alphabet.from_names("012")
+        w = three.word("0120210")
+        for n in (1, 3, 7):
+            factors = w.factors(n)
+            checked = {Word(three, w.letters[i : i + n]) for i in range(len(w) - n + 1)}
+            assert factors == checked
+            assert {hash(f) for f in factors} == {hash(c) for c in checked}
+            assert all(f.alphabet is three and type(f.letters) is bytes for f in factors)
+
+    def test_sets_and_dicts_of_words(self):
+        three = Alphabet.from_names("012")
+        other = Alphabet.from_names("abc")
+        words = [three.word("01"), Alphabet.from_names("012").word("01"), other.word("ab")]
+        assert len(set(words)) == 2
+        assert {words[0]: "x"}[words[1]] == "x"
+        assert words[2] not in {words[0]}
+        assert words[2].letters == words[0].letters
 
     def test_factors_length_out_of_range(self):
         w = BINARY.word("01")
