@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -33,10 +32,6 @@ from .words import Alphabet, BINARY, Window, Word
 DEFAULT_PREIMAGE_CAP = 1 << 22
 
 _MAX_WIDTH = 16
-
-#: Window codes are packed in slots of 1, 2, 4 or 8 bytes; the wider slots
-#: are read back as native unsigned integers of these formats.
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -94,33 +89,24 @@ class LocalRule:
         return len(next(iter(self.table.values())))
 
     @functools.cached_property
-    def _code_table(self) -> tuple[int, bytes | dict[int, int]] | None:
-        """Output letters by window code, with the code's slot in bytes.
+    def _code_table(self) -> bytes | None:
+        """Output letters by window code, as a 256-byte translation table.
 
         A window's code reads its letters as base-s digits, s the input
-        alphabet size; the slot is the least of 1, 2, 4 and 8 bytes that
-        holds every code.  One-byte codes map through a 256-byte
-        translation table, wider ones through a dict.  Byte 255, never a
-        letter of an alphabet of at most 255 letters, marks undefined
-        windows.  None when codes need more than 8 bytes: only a partial
-        rule can be that wide.
+        alphabet size.  Byte 255, never a letter of an alphabet of at most
+        255 letters, marks undefined windows.  None when some code needs
+        more than one byte.
         """
         size = self.input_alphabet.size
-        slot = next((b for b in _SLOT_FORMATS if size**self.width <= 256**b), None)
-        if slot is None:
+        if size**self.width > 256:
             return None
-        letters = {}
+        table = bytearray(b"\xff" * 256)
         for key, value in self.table.items():
             code = 0
             for letter in key:
                 code = code * size + letter
-            letters[code] = value[0]
-        if slot > 1:
-            return slot, letters
-        table = bytearray(b"\xff" * 256)
-        for code, letter in letters.items():
-            table[code] = letter
-        return slot, bytes(table)
+            table[code] = value[0]
+        return bytes(table)
 
     def lookup(self, window: bytes) -> bytes:
         value = self.table.get(window)
@@ -176,35 +162,25 @@ def apply_to_word(rule: LocalRule, w: Word) -> Word:
 def _slide(rule: LocalRule, data: bytes) -> bytes:
     """The output letter of every window of ``data``, in order.
 
-    Window i has the code c_i = sum_k data[i + k] * s**(w - 1 - k).  With
-    each letter in the low byte of its own slot, term k over all windows
-    is one integer read off data[k : k + len(data) - w + 1]; w big-int
-    multiply-adds sum the terms, no code overflows its slot, so no carry
-    crosses slots, and the integer's bytes are the codes in order.  One
-    translation (one-byte codes) or one dict pass maps them to letters.
+    Window i has the code c_i = sum_k data[i + k] * s**(w - 1 - k).  When
+    every code fits a byte, term k over all windows is one integer read off
+    data[k : k + len(data) - w + 1]; w big-int multiply-adds sum the terms,
+    no code overflows its byte, so no carry crosses bytes, and the
+    integer's bytes are the codes in order.  One translation maps them to
+    letters.  Wider codes go window by window.
     """
     width = rule.width
-    plan = rule._code_table
-    if plan is None:
+    table = rule._code_table
+    if table is None:
         return b"".join(
             rule.lookup(data[i : i + width]) for i in range(len(data) - width + 1)
         )
-    slot, table = plan
-    count = (len(data) - width + 1) * slot
-    spread = data
-    if slot > 1:
-        spread = bytearray(len(data) * slot)
-        spread[0 if sys.byteorder == "little" else slot - 1 :: slot] = data
+    count = len(data) - width + 1
     size = rule.input_alphabet.size
     code = 0
-    for k in range(0, width * slot, slot):
-        code = code * size + int.from_bytes(spread[k : k + count], sys.byteorder)
-    codes = code.to_bytes(count, sys.byteorder)
-    if slot == 1:
-        out = codes.translate(table)
-    else:
-        slots = memoryview(codes).cast(_SLOT_FORMATS[slot])
-        out = bytes(map(table.get, slots, repeat(255)))
+    for k in range(width):
+        code = code * size + int.from_bytes(data[k : k + count], "big")
+    out = code.to_bytes(count, "big").translate(table)
     bad = out.find(255)
     if bad >= 0:
         rule.lookup(data[bad : bad + width])

@@ -38,15 +38,6 @@ class Alphabet:
         for sym in self.symbols:
             if len(sym) != 1 or not sym.isprintable() or sym == ".":
                 raise DomainError(f"bad alphabet symbol {sym!r}")
-        # every Word hash hashes its alphabet: hash the symbols once
-        object.__setattr__(self, "_hash", hash((self.symbols,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild rather than restore: string hashes differ between processes
-        return (Alphabet, (self.symbols,))
 
     @classmethod
     def from_names(cls, names: str) -> Alphabet:

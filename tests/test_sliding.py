@@ -298,9 +298,8 @@ class TestImageLanguage:
 
 SYMBOLS = tuple(chr(0x4E00 + i) for i in range(255))
 
-#: (alphabet size s, window width w): the least of 1, 2, 4 and 8 bytes that
-#: holds s**w codes is every slot in turn, and s**w > 2**64 keeps the
-#: window-by-window loop.
+#: (alphabet size s, window width w): codes that fit one byte (s**w <= 256)
+#: run through the translation kernel, wider ones window by window.
 KERNEL_SHAPES = [
     (2, 1), (2, 3), (2, 8), (2, 9), (2, 12),
     (3, 2), (3, 5), (3, 6), (3, 11),
@@ -312,10 +311,6 @@ KERNEL_SHAPES = [
 
 #: Rules with at most this many windows are total, wider ones partial.
 TOTAL_WINDOWS = 4096
-
-
-def code_slot(size, width):
-    return next((b for b in (1, 2, 4, 8) if size**width <= 256**b), None)
 
 
 def kernel_rule(rng, size, width, memory, keys, out_size):
@@ -351,8 +346,10 @@ def outcome(fn, *args):
 
 
 class TestKernelAgreesWithJoinOracle:
-    def test_shapes_cover_every_code_slot(self):
-        assert {code_slot(s, w) for s, w in KERNEL_SHAPES} == {1, 2, 4, 8, None}
+    def test_shapes_cover_both_paths(self):
+        assert {s**w <= 256 for s, w in KERNEL_SHAPES} == {True, False}
+        assert {s for s, w in KERNEL_SHAPES if s**w <= 256} == {2, 3, 4, 5, 17, 255}
+        assert (2, 8) in KERNEL_SHAPES and (2, 9) in KERNEL_SHAPES
         assert {s for s, _ in KERNEL_SHAPES} == {2, 3, 4, 5, 17, 255}
 
     @pytest.mark.parametrize("size,width", KERNEL_SHAPES)
