@@ -53,7 +53,6 @@ from .errors import (
     RangeError,
     StateError,
 )
-from .graphs import build_graph
 from .patterns import find_even_square, find_overlap
 from .sliding import LocalRule
 from .substitution import MORSE, TOEPLITZ, Substitution, _image, system_seeds
@@ -532,12 +531,6 @@ def morse_identity_pairs(verdict: ParseVerdict) -> frozenset[tuple[int, int]]:
 _PARITY = bytes(t & 1 for t in range(256))
 
 
-def _power_images(sub: Substitution, k: int) -> tuple[bytes, ...]:
-    if k == 0:
-        return tuple(bytes([a]) for a in range(sub.alphabet.size))
-    return sub.power(k)._letters
-
-
 def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
     if verdict.kind != kind.name:
         raise DomainError(f"expected a {kind.name} verdict")
@@ -548,7 +541,7 @@ def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
     except IndexError:
         raise RangeError(f"verdict has no phase entry {index}") from None
     target = kind.target
-    out = _image(_power_images(target, k), entry.tokens.letters.translate(_PARITY))
+    out = _image(target._iterate(k), entry.tokens.letters.translate(_PARITY))
     origin = min(max(-entry.start, 0), len(out))
     window = Window(Word(target.alphabet, out), origin)
     depth = (1 << k) + 2
@@ -653,7 +646,7 @@ def necessary_conditions(kind: str, sub: Substitution) -> NecessaryReport:
     return NecessaryReport(
         kind=kind,
         injective=sub.is_injective(),
-        primitive=build_graph(sub).is_primitive(),
+        primitive=sub._primitive,
         length=r,
         length_power_of_two=r & (r - 1) == 0,
         alphabet_size=sub.alphabet.size,
@@ -722,9 +715,7 @@ def derive_substitution(lang, rule: LocalRule, r: int) -> DerivedSubstitution:
             letters.append(li)
         images.append(Word(alphabet, bytes(letters)))
     derived = Substitution(alphabet, tuple(images))
-    return DerivedSubstitution(
-        derived, tuple(blocks), build_graph(derived).is_primitive()
-    )
+    return DerivedSubstitution(derived, tuple(blocks), derived._primitive)
 
 
 # -- self-similarity ------------------------------------------------------

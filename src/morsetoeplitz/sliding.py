@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
@@ -47,7 +47,7 @@ class LocalRule:
     output_alphabet: Alphabet
     memory: int
     anticipation: int
-    table: Mapping[bytes, bytes]
+    table: Mapping[bytes, bytes] = field(hash=False)
     domain: frozenset[bytes] | None = None
 
     def __post_init__(self) -> None:

@@ -25,6 +25,7 @@ cross-validation and must agree with it.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import threading
 from collections import OrderedDict
@@ -112,17 +113,24 @@ class Substitution:
         """The k-th iterate as a substitution of length r**k."""
         if k < 1:
             raise RangeError("power needs k >= 1")
-        self._check_power(k, max_len)
-        cur = self._letters
-        for _ in range(k - 1):
-            cur = [_image(self._letters, w) for w in cur]
         return Substitution(
-            self.alphabet, tuple(Word(self.alphabet, w) for w in cur)
+            self.alphabet,
+            tuple(Word(self.alphabet, w) for w in self._iterate(k, max_len)),
         )
 
     def _check_power(self, k: int, max_len: int) -> None:
         if self.length**k > max_len:
             raise CapacityError(f"r**k = {self.length}**{k} exceeds cap {max_len}")
+
+    def _iterate(self, k: int, max_len: int = DEFAULT_MAX_LEN) -> tuple[bytes, ...]:
+        """Letter images of sigma**k for k >= 0, the letters themselves at
+        k = 0: the k-th image of the word of all letters, cut into r**k-blocks."""
+        self._check_power(k, max_len)
+        data = bytes(range(self.alphabet.size))
+        for _ in range(k):
+            data = _image(self._letters, data)
+        span = self.length**k
+        return tuple(data[i : i + span] for i in range(0, len(data), span))
 
     @functools.cached_property
     def _letters(self) -> tuple[bytes, ...]:
@@ -130,36 +138,36 @@ class Substitution:
 
     # -- periodic points --------------------------------------------------
 
-    def _last_letter_map(self) -> list[int]:
-        return [im.letters[-1] for im in self.images]
-
-    def _first_letter_map(self) -> list[int]:
-        return [im.letters[0] for im in self.images]
-
     def periodic_seeds(self, p: int) -> list[Seed]:
         """All admissible seeds for the p-th iterate, sorted by (a, b).
 
         Only boundary letters matter: the p-th image of a ends with a iff
         the p-fold composition of the last-letter map fixes a, and dually
-        for first letters, so no image word is materialized here.
+        for first letters.  The seed sweep composes both maps up to p, so
+        no image word is materialized here.
         """
         if p < 1:
             raise RangeError("period must be >= 1")
-        last = self._last_letter_map()
-        first = self._first_letter_map()
-        n = self.alphabet.size
-        fp = list(range(n))
-        gp = list(range(n))
-        for _ in range(p):
+        for _, left, right in self._seed_sweep(p):
+            pass
+        return [Seed(a, b, p) for a in left for b in right]
+
+    def _seed_sweep(self, limit: int):
+        """For p = 1, ..., limit: p, the letters a whose p-th image ends with
+        a, and the letters b whose p-th image begins with b, in order.
+
+        One composition of the last-letter and first-letter maps per
+        period, so a sweep up to p costs O(p * n) for n letters.
+        """
+        last = [w[-1] for w in self._letters]
+        first = [w[0] for w in self._letters]
+        letters = range(self.alphabet.size)
+        fp, gp = list(letters), list(letters)
+        for p in range(1, limit + 1):
             fp = [last[a] for a in fp]
-            gp = [first[a] for a in gp]
-        return [
-            Seed(a, b, p)
-            for a in range(n)
-            if fp[a] == a
-            for b in range(n)
-            if gp[b] == b
-        ]
+            gp = [first[b] for b in gp]
+            left = [a for a in letters if fp[a] == a]
+            yield p, left, [b for b in letters if gp[b] == b]
 
     def periodic_window(
         self, seed: Seed, radius: int, max_len: int = DEFAULT_MAX_LEN
@@ -286,12 +294,10 @@ class Substitution:
             raise InsufficientWindowError(
                 f"window of length {len(win)} is shorter than 3 tiles of {span}"
             )
-        if k == 0:
-            return [(0, win.word)]
-        sp = self.power(k, max_len)
+        images = self._iterate(k, max_len)
         block_of: dict[bytes, int] = {}
         for a in reversed(range(self.alphabet.size)):
-            block_of[sp.images[a].letters] = a
+            block_of[images[a]] = a
         return [
             (j, Word(self.alphabet, bytes(recovered)))
             for j, _, recovered in phase_tokens(win, span, block_of)
@@ -319,26 +325,19 @@ def _covering_words(sub: Substitution, n: int) -> tuple[Word, ...]:
     imgs = sub._letters
     w0 = imgs[0]
     pairs = {w0[i : i + 2] for i in range(len(w0) - 1)}
-    changed = True
-    while changed:
-        changed = False
-        for uv in list(pairs):
-            x = imgs[uv[0]] + imgs[uv[1]]
-            for i in range(len(x) - 1):
-                p = x[i : i + 2]
-                if p not in pairs:
-                    pairs.add(p)
-                    changed = True
-    m = 0
-    cover = 1
-    while cover < n:
-        cover *= sub.length
-        m += 1
-    if m == 0:
-        return tuple(Word(sub.alphabet, uv) for uv in sorted(pairs))
-    pimgs = [im.letters for im in sub.power(m).images]
+    todo = list(pairs)
+    while todo:
+        u, v = todo.pop()
+        x = imgs[u] + imgs[v]
+        for i in range(len(x) - 1):
+            uv = x[i : i + 2]
+            if uv not in pairs:
+                pairs.add(uv)
+                todo.append(uv)
+    m = next(m for m in itertools.count() if sub.length**m >= n)
+    pimgs = sub._iterate(m)
     return tuple(
-        Word(sub.alphabet, pimgs[uv[0]] + pimgs[uv[1]]) for uv in sorted(pairs)
+        Word(sub.alphabet, pimgs[u] + pimgs[v]) for u, v in sorted(pairs)
     )
 
 
@@ -432,15 +431,8 @@ def minimal_seed_period(sub: Substitution, limit: int | None = None) -> int:
     """Smallest p for which the substitution has an admissible seed."""
     if limit is None:
         limit = max(64, sub.alphabet.size**2)
-    last = sub._last_letter_map()
-    first = sub._first_letter_map()
-    n = sub.alphabet.size
-    fp = list(range(n))
-    gp = list(range(n))
-    for p in range(1, limit + 1):
-        fp = [last[a] for a in fp]
-        gp = [first[a] for a in gp]
-        if any(fp[a] == a for a in range(n)) and any(gp[b] == b for b in range(n)):
+    for p, left, right in sub._seed_sweep(limit):
+        if left and right:
             return p
     raise SeedError(f"no admissible seed with period <= {limit}")
 
@@ -450,17 +442,20 @@ def system_seeds(sub: Substitution, limit: int | None = None) -> list[Seed]:
 
     An admissible seed (a, b) yields a point of the substitution's minimal
     set exactly when the center block ab is in the language; other seeds
-    still fix two-sided points, but of the full shift only.  Requires a
-    primitive substitution.
+    still fix two-sided points, but of the full shift only.  One seed sweep
+    serves every period up to ``limit``: the admissible pairs of each
+    period are filtered by the 2-blocks of the language, and the first
+    period with a pair left wins.  Requires a primitive substitution.
     """
     if limit is None:
         limit = max(64, sub.alphabet.size**2)
     lang2 = sub.language(2)
-    for p in range(1, limit + 1):
+    for p, left, right in sub._seed_sweep(limit):
         good = [
-            s
-            for s in sub.periodic_seeds(p)
-            if Word(sub.alphabet, bytes((s.left, s.right))) in lang2
+            Seed(a, b, p)
+            for a in left
+            for b in right
+            if Word(sub.alphabet, bytes((a, b))) in lang2
         ]
         if good:
             return good

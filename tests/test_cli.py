@@ -517,6 +517,11 @@ class TestWitness:
         result = invoke(runner, "witness", "--sub", "0->01;1->01", "--n", "2")
         assert result.exit_code == 2
 
+    def test_long_seed_period_fails_at_the_power_cap(self, runner, long_period_spec):
+        result = invoke(runner, "witness", "--sub", long_period_spec, "--n", "1")
+        assert result.exit_code == 2
+        assert result.stderr == "error: r**k = 3**3540 exceeds cap 1048576\n"
+
 
 def readme_examples():
     """argv and stdout of every ``$ mtz ...`` example in README.md."""

@@ -216,6 +216,13 @@ class TestToeplitzVerification:
         assert not verdict.accepted
         assert verdict.failure_reason == "token_pattern"
 
+    def test_two_long_parses_are_multiple_phases(self):
+        # "0101..." tiles as C0 C0 ... at phase 0 and C1 C1 ... at phase 1
+        source = window_source("01" * 16, 16)
+        verdict = verify_toeplitz_certificate(source, tcert(1, "01", "10"), 16)
+        assert not verdict.accepted
+        assert verdict.failure_reason == "multiple_phases"
+
     def test_radius_must_hold_three_tiles(self, toeplitz):
         with pytest.raises(RangeError):
             verify_toeplitz_certificate(toeplitz, tcert(1, "01", "00"), 5)

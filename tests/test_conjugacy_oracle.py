@@ -176,6 +176,7 @@ TOEPLITZ_32 = blocks_of(TOEPLITZ, 32)
 EXPLICIT_CASES = [
     ("toeplitz", explicit("1" * 32, 16), tcert(1, "01", "00"), 16),
     ("toeplitz", explicit("01" * 16, 16), tcert(1, "01", "00"), 16),
+    ("toeplitz", explicit("01" * 16, 16), tcert(1, "01", "10"), 16),
     ("morse", explicit("110110", 3), mcert(1, "01", "10", "01", "10"), 6),
     ("morse", explicit("0" * 10, 5), mcert(1, "01", "10", "00", "11"), 6),
     ("morse", explicit("1" * 32, 16), mcert(0, "0", "1", "0", "1"), 16),
@@ -193,7 +194,7 @@ EXPLICIT_CASES = [
         tcert(0, "0", "1"),
         16,
     ),
-    # a block of another length is evaluated on its own
+    # a block of another length is never consulted: radius 16 asks for 32-blocks only
     (
         "toeplitz",
         explicit(TOEPLITZ_WINDOW, 16, TOEPLITZ_32 + ["0110"]),
@@ -215,6 +216,17 @@ def test_explicit_block_failures_name_the_least_block():
     verdict = verify_toeplitz_certificate(source, cert, radius)
     assert not verdict.accepted
     assert verdict.detail.startswith("block[")
+
+
+def test_searches_agree_on_flipped_morse_windows():
+    """One flipped letter breaks the Morse window's gap pattern, so most
+    candidate carriers meet a gap slot that two tiles claim."""
+    for pos in range(len(MORSE_WINDOW)):
+        data = bytearray(MORSE_WINDOW, "ascii")
+        data[pos] ^= 1  # "0" <-> "1"
+        source = explicit(data.decode(), 16, ["0", "1"])
+        fast = outcome(search_morse_certificate, source, 0)
+        assert fast == outcome(oracle.search_morse_certificate, source, 0), pos
 
 
 @pytest.mark.parametrize("radius", [3, 4, 5, 7])

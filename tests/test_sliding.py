@@ -153,6 +153,18 @@ class TestLocalRule:
         with pytest.raises(DomainError):
             LocalRule(BINARY, BINARY, 0, 0, {})
 
+    def test_equal_rules_hash_alike(self):
+        first, second = oxtoby_rule(), oxtoby_rule()
+        assert first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_rules_differing_in_their_table_only_are_unequal(self):
+        swap = LocalRule(BINARY, BINARY, 0, 0, {b"\x00": b"\x01", b"\x01": b"\x00"})
+        ident = identity_rule(BINARY)
+        assert swap != ident
+        assert len({swap, ident}) == 2
+
 
 class TestApply:
     def test_oxtoby_on_the_displayed_window(self, morse, oxtoby):

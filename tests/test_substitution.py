@@ -250,6 +250,16 @@ class TestSystemSeeds:
         assert system_seeds(sub) == [Seed(0, 1, 1), Seed(1, 0, 1)]
         assert sorted(w.text for w in sub.language(2)) == ["01", "10"]
 
+    def test_long_least_period_in_one_sweep(self, long_period_spec):
+        # one seed sweep up to p = 3540, not one sweep per period
+        sub = parse_substitution(long_period_spec)
+        assert minimal_seed_period(sub) == 3540
+        start = time.perf_counter()
+        seeds = system_seeds(sub)
+        assert time.perf_counter() - start < 5
+        assert len(seeds) == 3540
+        assert {s.period for s in seeds} == {3540}
+
 
 class TestPeriodicWindow:
     def test_displayed_morse_window(self, morse):
