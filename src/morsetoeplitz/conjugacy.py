@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import accumulate, product
+from itertools import product
 from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 from .errors import (
@@ -55,7 +55,16 @@ from .errors import (
 )
 from .patterns import find_even_square, find_overlap
 from .sliding import LocalRule
-from .substitution import MORSE, TOEPLITZ, Substitution, _image, system_seeds
+from .substitution import (
+    DEFAULT_MAX_LEN,
+    MORSE,
+    TOEPLITZ,
+    Seed,
+    Substitution,
+    _covering_words,
+    _image,
+    system_seeds,
+)
 from .words import Alphabet, BINARY, Window, Word, phase_tokens, tile_phases
 
 # failure reasons reported by the verifiers
@@ -352,13 +361,13 @@ def _evaluate(kind: _Kind, cert, phases, label: str):
     return None, long_entries[0] if long_entries else entries[0][1]
 
 
-def _segments(kind: _Kind, toks: list[int]):
+def _segments(kind: _Kind, toks):
     """Per carrier parity, the maximal runs [lo, hi) of one row of tile codes
     (0 off the certificate) with C0/C1 carriers and gaps that follow the
     neighbor table, widened by a certificate tile on each side for a window
     to trim away, and their carrier letters."""
     s, n = kind.stride, len(toks)
-    toks = toks + [0] * s
+    toks = list(toks) + [0] * s
     for first_carrier in range(s):
         first = last = -1
         for c in range(first_carrier, n + s, s):
@@ -377,34 +386,203 @@ def _segments(kind: _Kind, toks: list[int]):
             letters = bytearray((letter,))
 
 
-def _candidates(kind: _Kind, phases, tiles: list[bytes], blocks: set[bytes]) -> set:
+def _candidates(kind: _Kind, rows: list[list[bytes]], blocks: set[bytes]) -> set:
     """Block tuples that parse the reference window at some phase and
-    parity: C0 and C1 hold the carrier tiles, each gap fixes the slot the
-    neighbor table names, and a slot no tile fixes ranges over ``blocks``."""
+    parity, given its rows of tiles: C0 and C1 hold the carrier tiles, each
+    gap fixes the slot the neighbor table names, and a slot no tile fixes
+    ranges over ``blocks``.  Carriers that hold one tile x read all 0
+    (C0 = x) or all 1 (C1 = x) whatever the other carrier is, so a run
+    needs at most two pattern scans, and the other carrier, unless a gap
+    fixes it, ranges over ``blocks`` once."""
     out = set()
-    for _, _, row in phases:
+    for row in rows:
         for i0 in range(kind.stride):
-            run = [tiles[i] for i in _run(row, i0, kind.stride)]
+            run = _run(row, i0, kind.stride)
             if len(run) < 3:
                 continue
             carriers = run[:: kind.stride]
-            seen = set(carriers)  # {C0, C1} holds it; one tile leaves C1 or C0 open
-            pool = seen | blocks if len(seen) == 1 else seen if len(seen) == 2 else ()
-            for c0, c1 in product(pool, repeat=2):
-                if c0 == c1 or not seen <= {c0, c1}:
-                    continue
+            seen = set(carriers)
+            if len(seen) == 2:
+                u, v = seen
+                pairs = ((u, v), (v, u))
+            elif len(seen) == 1:  # one tile leaves C1 or C0 open
+                (x,) = seen
+                pairs = ((x, None), (None, x))
+            else:
+                continue
+            for c0, c1 in pairs:
                 letters = bytes(0 if t == c0 else 1 for t in carriers)
                 if kind.pattern(Word(BINARY, letters)) is not None:
                     continue
                 slots = [c0, c1] + [None] * (kind.slots - 2)
-                for i in range(1, len(run), 2) if kind is _MORSE else ():
+                for i in range(1, len(run), 2) if kind.stride == 2 else ():
                     slot = _GAP_IDENTITY[letters[i // 2], letters[i // 2 + 1]]
                     if slots[slot] not in (None, run[i]):
                         break
                     slots[slot] = run[i]
                 else:
-                    out.update(product(*(blocks if b is None else [b] for b in slots)))
+                    choices = [blocks if b is None else [b] for b in slots]
+                    if len(seen) == 1:  # the open carrier is another block
+                        i = 1 if c1 is None else 0
+                        choices[i] = [b for b in choices[i] if b != x and b in blocks]
+                    out.update(product(*choices))
     return out
+
+
+# -- tilers ---------------------------------------------------------------
+
+
+class _Slices:
+    """Tiles of whole windows: every span-slice at every phase, interned
+    once; a certificate maps tile ids to codes through one table."""
+
+    def __init__(self, span: int, windows: list[Window]) -> None:
+        self.windows = windows
+        self.lengths = [len(win) for win in windows]
+        self.ids: dict[bytes, int] = {}
+        self.phases = [tile_phases(win, span, self.ids) for win in windows]
+
+    def letters(self, w: int) -> bytes:
+        return self.windows[w].word.letters
+
+    def tiles(self, w: int) -> list[list[bytes]]:
+        tiles = list(self.ids)
+        return [[tiles[i] for i in row] for _, _, row in self.phases[w]]
+
+    def coder(self, cert):
+        """Rows of tile codes of word w, as (phase, start, row) at every phase."""
+        codes = _codes(cert)
+        table = [codes.get(t, 0) for t in self.ids]
+        return lambda w: [
+            (j, t0, [table[i] for i in row]) for j, t0, row in self.phases[w]
+        ]
+
+
+class _Levels:
+    """Tiles of words given as sigma**d of level words, D = r**d dividing
+    the span c*D.  The tile at bilateral index t0 is the image of the level
+    (c+1)-block at the level position of t0, read from offset t0 mod D; a
+    sentinel letter pads each level word for the last tile at offset 0,
+    which never reads it.  Each word is the row of its level-block keys, so
+    a tile is one (offset, key) pair and no slice is hashed per window.
+
+    A certificate block sits at offset o of a tile only where it occurs at
+    o in a key's image, so ``bytes.find`` over the images gives one code
+    table per offset, and a phase whose offset holds no certificate tile
+    is all code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it
+    is skipped.  ``words`` lists (level letters, bilateral index of their
+    image's first letter, bilateral bounds [lo, hi) of the tiled span)."""
+
+    def __init__(self, sub: Substitution, span: int, d: int, words: list[tuple]):
+        self.span, self.size = span, sub.length**d
+        self.c = c = span // self.size
+        sentinel = bytes((sub.alphabet.size,))
+        index: dict[bytes, int] = {}
+        self.words = []
+        for level, base, lo, hi in words:
+            padded = level + sentinel
+            keys = [
+                index.setdefault(padded[q : q + c + 1], len(index))
+                for q in range(len(level) - c + 1)
+            ]
+            self.words.append((level, keys, base, lo, hi))
+        self.lengths = [hi - lo for *_, lo, hi in words]
+        self.wide = len(index) > 256
+        if not self.wide:  # a row of keys is then one strided slice
+            self.words = [(x, bytes(keys), *rest) for x, keys, *rest in self.words]
+        self.letter_images = sub._iterate(d)
+        images = self.letter_images + (b"\xff" * self.size,)
+        self.images = [b"".join(images[a] for a in block) for block in index]
+
+    def letters(self, w: int) -> bytes:
+        level, _, base, lo, hi = self.words[w]
+        return b"".join(self.letter_images[a] for a in level)[lo - base : hi - base]
+
+    def _phases(self, w: int, js):
+        """(phase, start, offset, keys) of word w at the phases js."""
+        _, keys, base, lo, hi = self.words[w]
+        span, size, c = self.span, self.size, self.c
+        for j in js:
+            t0 = lo + (j - lo) % span
+            count = (hi - t0) // span
+            if count >= 3:
+                q0 = (t0 - base) // size
+                yield j, t0, j % size, keys[q0 : q0 + count * c : c]
+
+    def tiles(self, w: int) -> list[list[bytes]]:
+        span, cut = self.span, {}
+        rows = []
+        for _, _, o, keys in self._phases(w, range(span)):
+            for key in keys:
+                if (o, key) not in cut:
+                    cut[o, key] = self.images[key][o : o + span]
+            rows.append([cut[o, key] for key in keys])
+        return rows
+
+    def coder(self, cert):
+        """Rows of tile codes of word w, as (phase, start, row) at every
+        phase whose offset holds a certificate tile."""
+        size, stop = self.size, self.size + self.span - 1
+        tables: dict[int, bytearray] = {}
+        for bit, block in enumerate(cert.blocks):
+            for key, image in enumerate(self.images):
+                o = image.find(block.letters, 0, stop)
+                while o >= 0:
+                    tables.setdefault(o, bytearray(len(self.images)))[key] |= 1 << bit
+                    o = image.find(block.letters, o + 1, stop)
+        js = [t * size + o for t in range(self.c) for o in sorted(tables)]
+        if not self.wide:
+            tables = {o: bytes(t).ljust(256, b"\0") for o, t in tables.items()}
+
+        def row(keys, table):
+            return [table[k] for k in keys] if self.wide else keys.translate(table)
+
+        return lambda w: [
+            (j, t0, row(keys, tables[o])) for j, t0, o, keys in self._phases(w, js)
+        ]
+
+
+def _level(source: LanguageSource, span: int) -> int:
+    """The largest d with r**d dividing the span, for a substitution source
+    of length r; 0 for every other source."""
+    d = 0
+    if isinstance(source, SubstitutionSource):
+        r = source.substitution.length
+        while span % r ** (d + 1) == 0:
+            d += 1
+    return d
+
+
+def _tiler(source: LanguageSource, span: int, radius: int):
+    """Labels of the sampled windows, then a tiler over those windows and
+    the covering words of the 2R-blocks, in that order."""
+    n, d = 2 * radius, _level(source, span)
+    if d == 0:
+        samples = source.sample_windows(radius)
+        if isinstance(source, SubstitutionSource):
+            words = source.substitution.covering_words(n)
+        else:  # each block covers itself; other lengths are checked alone
+            words = source.blocks(n) or ()
+        windows = [win for _, win in samples] + [Window(w, 0) for w in words]
+        return [label for label, _ in samples], _Slices(span, windows)
+    # The window of a seed (a, b, p) is sigma**d of the window of the point
+    # z = sigma**e(x), e = -d mod p: z is fixed by sigma**p, its center
+    # letters are the last of sigma**e(a) and the first of sigma**e(b), and
+    # sigma**d(z) = sigma**(d+e)(x) = x.
+    sub = source.substitution
+    size = sub.length**d
+    level_radius = -(-radius // size)
+    labels, words = [], []
+    for seed in system_seeds(sub):
+        last, first = sub._boundary_maps(-d % seed.period)
+        level = Seed(last[seed.left], first[seed.right], seed.period)
+        win = sub.periodic_window(level, level_radius)
+        sub._check_growth(seed.period, radius, DEFAULT_MAX_LEN)
+        labels.append(f"seed {seed}")
+        words.append((win.word.letters, -level_radius * size, -radius, radius))
+    for level in _covering_words(sub, n, d):  # system_seeds checked primitivity
+        words.append((level, 0, 0, len(level) * size))
+    return labels, _Levels(sub, span, d, words)
 
 
 # -- verification --------------------------------------------------------
@@ -416,37 +594,24 @@ class _Checker:
 
     def __init__(self, kind: _Kind, source: LanguageSource, span: int, radius: int):
         self.kind, self.source, self.span, self.radius = kind, source, span, radius
-        self.ids: dict[bytes, int] = {}
-        self.samples = [
-            (label, tile_phases(win, span, self.ids))
-            for label, win in source.sample_windows(radius)
-        ]
-        n = 2 * radius
-        if isinstance(source, SubstitutionSource):
-            words = source.substitution.covering_words(n)
-        else:  # each block covers itself; other lengths are checked alone
-            words = source.blocks(n) or ()
-        tiled = [tile_phases(Window(w, 0), span, self.ids) for w in words]
-        self.covers = [(w.letters, phases) for w, phases in zip(words, tiled)]
+        self.labels, self.tiler = _tiler(source, span, radius)
 
     def verdict(self, cert) -> ParseVerdict:
         kind, radius = self.kind, self.radius
-        codes = _codes(cert)
-        table = [codes.get(t, 0) for t in self.ids]
+        rows = self.tiler.coder(cert)
         entries = []
-        for label, phases in self.samples:
-            toks = [(j, t0, [table[i] for i in row]) for j, t0, row in phases]
-            reason, entry = _evaluate(kind, cert, toks, label)
+        for w, label in enumerate(self.labels):
+            reason, entry = _evaluate(kind, cert, rows(w), label)
             if reason is not None:
                 break
             entries.append(entry)
         else:
-            reason, label = self._failing_block(cert, codes, table)
+            reason, label = self._failing_block(cert, rows)
         if reason is not None:
             return ParseVerdict(False, (), reason, kind.name, radius, label)
         return ParseVerdict(True, tuple(entries), None, kind.name, radius)
 
-    def _failing_block(self, cert, codes, table) -> tuple[str | None, str]:
+    def _failing_block(self, cert, rows) -> tuple[str | None, str]:
         """Reason and label of the least failing 2R-block.
 
         The 2R-window at s of a covering word lies in the segment [p, q) of
@@ -454,28 +619,34 @@ class _Checker:
         exactly one segment, whose letters are free of the pattern, passes:
         its own letters are a factor of those, and 2R >= 6*span letters hold
         5 tiles at any phase, so a Morse run keeps 3 after trimming.  Every
-        other window is evaluated on its own, in sorted order."""
-        kind, span, n = self.kind, self.span, 2 * self.radius
+        other window is evaluated on its own, in sorted order.  The counts
+        change only at segment ends, so only those are visited."""
+        kind, span, n, tiler = self.kind, self.span, 2 * self.radius, self.tiler
         suspects = set()
-        for data, phases in self.covers:
-            windows = len(data) - n + 1
+        for w in range(len(self.labels), len(tiler.lengths)):
+            windows = tiler.lengths[w] - n + 1
             if windows != 1 and not isinstance(self.source, SubstitutionSource):
-                suspects.add(data)
+                suspects.add(tiler.letters(w))
                 continue
-            total, dirty = [0] * (windows + 1), [0] * (windows + 1)
-            for j, _, row in phases:
-                for p, q, letters in _segments(kind, [table[i] for i in row]):
+            steps = {0: [0, 0], windows: [0, 0]}  # cut -> changes of (total, dirty)
+            for j, _, row in rows(w):
+                for p, q, letters in _segments(kind, row):
                     lo = max(j + (p - 1) * span + 1, 0)
                     hi = min(j + (q + 1) * span - n, windows)
                     if lo < hi:
-                        total[lo] += 1
-                        total[hi] -= 1
-                        if kind.pattern(Word(BINARY, letters), max_len=len(letters)):
-                            dirty[lo] += 1
-                            dirty[hi] -= 1
-            for s, t, d in zip(range(windows), accumulate(total), accumulate(dirty)):
-                if t != 1 or d:
-                    suspects.add(data[s : s + n])
+                        word = Word(BINARY, letters)
+                        found = kind.pattern(word, max_len=len(letters))
+                        for cut, sign in ((lo, 1), (hi, -1)):
+                            step = steps.setdefault(cut, [0, 0])
+                            step[0] += sign
+                            step[1] += sign if found else 0
+            cuts, total, dirty, data = sorted(steps), 0, 0, b""
+            for s, end in zip(cuts, cuts[1:]):
+                total, dirty = total + steps[s][0], dirty + steps[s][1]
+                if total != 1 or dirty:
+                    data = data or tiler.letters(w)
+                    suspects.update(data[i : i + n] for i in range(s, end))
+        codes = _codes(cert)
         for data in sorted(suspects):
             win = Window(Word(self.source.alphabet, data), len(data) // 2)
             reason, _ = _evaluate(kind, cert, phase_tokens(win, span, codes), "")
@@ -582,9 +753,8 @@ def _search(kind: _Kind, lang, kmax: int, max_span: int):
             raise CapacityError(f"2**{k} exceeds block cap {max_span}")
         words = {b.letters: b for b in source.blocks(span) or ()}
         checker = _Checker(kind, source, span, 32 * span)
-        if checker.samples:
-            ref = checker.samples[0][1]
-            candidates = _candidates(kind, ref, list(checker.ids), set(words))
+        if checker.labels:
+            candidates = _candidates(kind, checker.tiler.tiles(0), set(words))
         else:
             candidates = product(words, repeat=kind.slots)
         for blocks in sorted(

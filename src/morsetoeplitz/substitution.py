@@ -119,7 +119,9 @@ class Substitution:
         )
 
     def _check_power(self, k: int, max_len: int) -> None:
-        if self.length**k > max_len:
+        # r**k >= 2**k, so a k past the cap's bit length is refused without
+        # building r**k
+        if k >= max_len.bit_length() or self.length**k > max_len:
             raise CapacityError(f"r**k = {self.length}**{k} exceeds cap {max_len}")
 
     def _iterate(self, k: int, max_len: int = DEFAULT_MAX_LEN) -> tuple[bytes, ...]:
@@ -143,14 +145,29 @@ class Substitution:
 
         Only boundary letters matter: the p-th image of a ends with a iff
         the p-fold composition of the last-letter map fixes a, and dually
-        for first letters.  The seed sweep composes both maps up to p, so
-        no image word is materialized here.
+        for first letters, so no image word is materialized here.
         """
         if p < 1:
             raise RangeError("period must be >= 1")
-        for _, left, right in self._seed_sweep(p):
-            pass
-        return [Seed(a, b, p) for a in left for b in right]
+        last, first = self._boundary_maps(p)
+        letters = range(self.alphabet.size)
+        right = [b for b in letters if first[b] == b]
+        return [Seed(a, b, p) for a in letters if last[a] == a for b in right]
+
+    def _boundary_maps(self, p: int) -> tuple[list[int], list[int]]:
+        """The last-letter and first-letter maps of sigma**p for p >= 0, by
+        repeated squaring: O(n log p) for n letters."""
+        letters = range(self.alphabet.size)
+        last, first = [w[-1] for w in self._letters], [w[0] for w in self._letters]
+        last_p, first_p = list(letters), list(letters)
+        while p:
+            if p & 1:
+                last_p = [last[a] for a in last_p]
+                first_p = [first[b] for b in first_p]
+            last = [last[a] for a in last]
+            first = [first[b] for b in first]
+            p >>= 1
+        return last_p, first_p
 
     def _seed_sweep(self, limit: int):
         """For p = 1, ..., limit: p, the letters a whose p-th image ends with
@@ -182,22 +199,30 @@ class Substitution:
         n = self.alphabet.size
         if not (0 <= seed.left < n and 0 <= seed.right < n) or seed.period < 1:
             raise SeedError(f"seed {seed} is malformed for {self}")
-        if seed not in set(self.periodic_seeds(seed.period)):
+        last, first = self._boundary_maps(seed.period)
+        if last[seed.left] != seed.left or first[seed.right] != seed.right:
             raise SeedError(f"seed {seed} is not admissible for {self}")
         self._check_power(seed.period, max_len)
+        self._check_growth(seed.period, radius, max_len)
 
         def grow(word: bytes) -> bytes:
-            # one round applies sigma**period; lengths only grow within a
-            # round, so checking every step refuses the same radii
             while len(word) < radius:
                 for _ in range(seed.period):
                     word = _image(self._letters, word)
-                    if len(word) > max_len:
-                        raise CapacityError(f"window growth exceeds cap {max_len}")
             return word
 
         body = grow(bytes([seed.left]))[-radius:] + grow(bytes([seed.right]))[:radius]
         return Window(Word(self.alphabet, body), radius)
+
+    def _check_growth(self, period: int, radius: int, max_len: int) -> None:
+        """Refuse a window whose growth passes ``max_len``.  A window grows
+        by rounds of sigma**period from one letter per side until it reaches
+        the radius; lengths only grow, so the last round is the longest."""
+        step, size = self.length**period, 1
+        while size < radius:
+            size *= step
+        if size > max_len:
+            raise CapacityError(f"window growth exceeds cap {max_len}")
 
     # -- language ---------------------------------------------------------
 
@@ -218,7 +243,7 @@ class Substitution:
         n-block lies inside the image of one 2-block.
         """
         self._require_primitive(n)
-        return _covering_words(self, n)
+        return tuple(Word(self.alphabet, w) for w in _covering_words(self, n))
 
     def _require_primitive(self, n: int) -> None:
         if n < 1:
@@ -319,9 +344,11 @@ def _image(imgs: tuple[bytes, ...], data: bytes) -> bytes:
     return bytes(out)
 
 
-def _covering_words(sub: Substitution, n: int) -> tuple[Word, ...]:
-    """2-block closure, then the image of each 2-block under an iterate
-    whose letter images have length at least n."""
+def _covering_words(sub: Substitution, n: int, d: int = 0) -> tuple[bytes, ...]:
+    """2-block closure, then the image of each 2-block under sigma**(m-d),
+    with m the least exponent whose letter images have length at least n:
+    the letters of the covering words of n at d = 0, and for d <= m words
+    whose d-th images are those, refused where those are."""
     imgs = sub._letters
     w0 = imgs[0]
     pairs = {w0[i : i + 2] for i in range(len(w0) - 1)}
@@ -335,10 +362,9 @@ def _covering_words(sub: Substitution, n: int) -> tuple[Word, ...]:
                 pairs.add(uv)
                 todo.append(uv)
     m = next(m for m in itertools.count() if sub.length**m >= n)
-    pimgs = sub._iterate(m)
-    return tuple(
-        Word(sub.alphabet, pimgs[u] + pimgs[v]) for u, v in sorted(pairs)
-    )
+    sub._check_power(m, DEFAULT_MAX_LEN)
+    pimgs = sub._iterate(m - d)
+    return tuple(pimgs[u] + pimgs[v] for u, v in sorted(pairs))
 
 
 def _language(sub: Substitution, n: int) -> frozenset[Word]:
@@ -348,7 +374,7 @@ def _language(sub: Substitution, n: int) -> frozenset[Word]:
     A covering word sigma**m(ab) is read only at starts i < r**m: every
     n-block with n <= r**m starts inside sigma**m(a) for some 2-block ab.
     """
-    words = [w.letters for w in _covering_words(sub, n)]
+    words = _covering_words(sub, n)
     size = n * sum(len(x) - n + 1 for x in words)
     if size > LANGUAGE_BYTES_CAP:
         raise CapacityError(

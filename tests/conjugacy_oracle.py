@@ -4,7 +4,8 @@ These are the block-by-block verifiers and exhaustive searches that
 ``morsetoeplitz.conjugacy`` replaced with covering-word checks and derived
 candidates.  Every sampled window and every block of L_{2R} is parsed on its
 own, and the searches try every block tuple in lexicographic order, so they
-are slow but independent of the fast paths they check.
+are slow but independent of the fast paths they check.  ``candidates`` is
+the pairwise candidate loop that the searches' single-tile pass replaced.
 """
 
 from __future__ import annotations
@@ -281,3 +282,34 @@ def search_morse_certificate(
             if verdict.accepted:
                 return cert
     return None
+
+
+def candidates(kind, rows: list[list[bytes]], blocks: set[bytes]) -> set:
+    """Block tuples that parse a window at some phase and parity, by trying
+    every ordered pair (C0, C1) of the pool: the carrier tiles when they are
+    two, else the one carrier tile and every block.  ``kind`` is a
+    certificate kind of ``morsetoeplitz.conjugacy``."""
+    out = set()
+    for row in rows:
+        for i0 in range(kind.stride):
+            run = row[i0 : i0 + (len(row) - i0 - 1) // kind.stride * kind.stride + 1]
+            if len(run) < 3:
+                continue
+            carriers = run[:: kind.stride]
+            seen = set(carriers)
+            pool = seen | blocks if len(seen) == 1 else seen if len(seen) == 2 else ()
+            for c0, c1 in product(pool, repeat=2):
+                if c0 == c1 or not seen <= {c0, c1}:
+                    continue
+                letters = bytes(0 if t == c0 else 1 for t in carriers)
+                if kind.pattern(Word(BINARY, letters)) is not None:
+                    continue
+                slots = [c0, c1] + [None] * (kind.slots - 2)
+                for i in range(1, len(run), 2) if kind.stride == 2 else ():
+                    slot = _GAP_TABLE[letters[i // 2], letters[i // 2 + 1]][0]
+                    if slots[slot] not in (None, run[i]):
+                        break
+                    slots[slot] = run[i]
+                else:
+                    out.update(product(*(blocks if b is None else [b] for b in slots)))
+    return out

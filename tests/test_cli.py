@@ -89,6 +89,24 @@ class TestGenerate:
         )
         assert result.exit_code == 2
 
+    def test_huge_period_is_refused_at_once(self, runner):
+        start = time.perf_counter()
+        result = invoke(
+            runner, "generate", "--sub", MORSE_SPEC,
+            "--seed", "0.0", "--period", str(10**9), "--radius", "4",
+        )
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert result.stderr == "error: r**k = 2**1000000000 exceeds cap 1048576\n"
+        result = invoke(
+            runner, "generate", "--sub", MORSE_SPEC,
+            "--seed", "0.0", "--period", str(10**9 + 1), "--radius", "4",
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: seed (0.0, p=1000000001) is not admissible for 0->01;1->10\n"
+        )
+
 
 class TestLanguage:
     def test_plain_listing(self, runner):

@@ -1,16 +1,21 @@
 """Covering-word verification and derived-candidate searches against the
 block-by-block and enumerate-then-verify oracles in ``conjugacy_oracle``."""
 
+from dataclasses import replace
+
 import pytest
 
 import conjugacy_oracle as oracle
+from morsetoeplitz import conjugacy, words
 from morsetoeplitz import (
     BINARY,
     MORSE,
+    Alphabet,
     TOEPLITZ,
     ExplicitSource,
     MorseCertificate,
     Seed,
+    Substitution,
     ToeplitzCertificate,
     Word,
     parse_substitution,
@@ -18,6 +23,15 @@ from morsetoeplitz import (
     search_toeplitz_certificate,
     verify_morse_certificate,
     verify_toeplitz_certificate,
+)
+from morsetoeplitz.conjugacy import (
+    SubstitutionSource,
+    _Levels,
+    _MORSE,
+    _Slices,
+    _TOEPLITZ,
+    _candidates,
+    _tiler,
 )
 from morsetoeplitz.words import Window
 
@@ -34,6 +48,10 @@ SYSTEMS = {
     "three^2": THREE.power(2),
     "renamed toeplitz": parse_substitution("a->ab;b->aa"),
     "renamed three": parse_substitution("x->yz;y->xz;z->yx"),
+    "morse^3": MORSE.power(3),
+    "morse 4-uniform": parse_substitution("0->0110;1->1001"),
+    # primitive, with letters 0 and 2 sharing the image 01
+    "shared image": parse_substitution("0->01;1->02;2->01"),
 }
 
 KINDS = {
@@ -221,10 +239,8 @@ def test_explicit_block_failures_name_the_least_block():
 def test_searches_agree_on_flipped_morse_windows():
     """One flipped letter breaks the Morse window's gap pattern, so most
     candidate carriers meet a gap slot that two tiles claim."""
-    for pos in range(len(MORSE_WINDOW)):
-        data = bytearray(MORSE_WINDOW, "ascii")
-        data[pos] ^= 1  # "0" <-> "1"
-        source = explicit(data.decode(), 16, ["0", "1"])
+    for pos, text in enumerate(flipped_morse_windows()):
+        source = explicit(text, 16, ["0", "1"])
         fast = outcome(search_morse_certificate, source, 0)
         assert fast == outcome(oracle.search_morse_certificate, source, 0), pos
 
@@ -239,3 +255,162 @@ def test_radii_near_three_tiles_agree(radius):
         assert_same_verdict(
             "toeplitz", TOEPLITZ, identity("toeplitz", TOEPLITZ, k), radius * span
         )
+
+
+# -- the level view ---------------------------------------------------------
+
+# systems whose spans 2**k are read at a level d >= 1 for k >= 1 (r = 2),
+# k >= 2 (r = 4, c = 2 at odd k) or k >= 3 (r = 8, c = 2 at k = 4); the
+# level blocks of "wide keys" are too many for one byte to name: 270 at
+# c = 1 and 540 at c = 2
+LEVEL_SYSTEMS = {
+    name: SYSTEMS[name]
+    for name in (
+        "morse",
+        "renamed three",
+        "shared image",
+        "morse^2",
+        "toeplitz^2",
+        "three^2",
+        "morse 4-uniform",
+        "morse^3",
+    )
+}
+LETTERS_90 = Alphabet(tuple(chr(0x4E00 + a) for a in range(90)))
+LEVEL_SYSTEMS["wide keys"] = Substitution(
+    LETTERS_90,
+    tuple(
+        Word(LETTERS_90, bytes((a, (a + 1) % 90, (a + 2) % 90, a))) for a in range(90)
+    ),
+)
+
+
+def level_certificates(sub, k):
+    """Identity blocks of Morse and Toeplitz over a binary alphabet, the
+    least language blocks, and single-letter mutations of each."""
+    span = 1 << k
+    pairs = []
+    if sub.alphabet.size == 2:
+        for base in (MORSE, TOEPLITZ):
+            images = base.power(k).images
+            pairs.append([Word(sub.alphabet, im.letters) for im in images])
+    blocks = sorted(sub.language(span))
+    pairs += [blocks[:2], blocks[1:3], [blocks[-1], blocks[0]]]
+    certs = []
+    for c0, c1 in pairs:
+        certs.append(ToeplitzCertificate(k, c0, c1))
+        certs.append(MorseCertificate(k, c0, c1, c0, c1))
+    for cert in list(certs):
+        certs.append(next(single_letter_mutations(cert)))
+    return certs
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", LEVEL_SYSTEMS)
+def test_level_verdicts_agree(name, k):
+    sub, span = LEVEL_SYSTEMS[name], 1 << k
+    for cert in level_certificates(sub, k):
+        kind = "toeplitz" if isinstance(cert, ToeplitzCertificate) else "morse"
+        # radii on the r**d grid and off it
+        for radius in (3 * span + 1, 4 * span, 7 * span - 1):
+            assert_same_verdict(kind, sub, cert, radius)
+
+
+def sliced(sub, span, radius):
+    """Today's tiler over the sampled windows and the covering words."""
+    source = SubstitutionSource(sub)
+    windows = [win for _, win in source.sample_windows(radius)]
+    windows += [Window(w, 0) for w in sub.covering_words(2 * radius)]
+    return _Slices(span, windows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", LEVEL_SYSTEMS)
+def test_level_rows_match_sliced_rows(name, k):
+    """Each word, its tiles and every phase kept for a certificate agree
+    with the ``tile_phases`` rows mapped through ``_codes``; every phase
+    skipped holds no certificate tile."""
+    sub, span = LEVEL_SYSTEMS[name], 1 << k
+    for radius in (3 * span + 1, 4 * span, 32 * span):
+        labels, level = _tiler(SubstitutionSource(sub), span, radius)
+        if not isinstance(level, _Levels):
+            assert span % sub.length
+            continue
+        slices = sliced(sub, span, radius)
+        assert level.lengths == slices.lengths
+        for w in range(len(slices.lengths)):
+            assert level.letters(w) == slices.letters(w)
+            assert level.tiles(w) == slices.tiles(w)
+        for cert in level_certificates(sub, k):
+            kept, every = level.coder(cert), slices.coder(cert)
+            for w in range(len(slices.lengths)):
+                rows = {j: (t0, list(row)) for j, t0, row in kept(w)}
+                for j, t0, row in every(w):
+                    if j in rows:
+                        assert rows.pop(j) == (t0, row)
+                    else:
+                        assert not any(row), (cert, w, j)
+                assert not rows
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SYSTEMS if "swap" not in n))
+def test_candidates_agree_with_the_pairwise_loop(name):
+    """On the reference windows of every primitive system in SYSTEMS."""
+    sub = SYSTEMS[name]
+    for k in range(5):
+        span = 1 << k
+        _, window = SubstitutionSource(sub).sample_windows(32 * span)[0]
+        rows = _Slices(span, [window]).tiles(0)
+        blocks = {b.letters for b in sub.language(span)}
+        for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
+            want = oracle.candidates(kind, rows, blocks)
+            assert _candidates(kind, rows, blocks) == want
+
+
+def no_pattern(word, max_len=None):
+    return None
+
+
+# A kind whose scan never finds its pattern lets runs of one carrier tile
+# through to the gap rule, which the overlap and even-square scans refuse.
+PATTERN_FREE_KINDS = [
+    replace(_TOEPLITZ, pattern=no_pattern),
+    replace(_MORSE, pattern=no_pattern),
+]
+
+
+def flipped_morse_windows():
+    for pos in range(len(MORSE_WINDOW)):
+        data = bytearray(MORSE_WINDOW, "ascii")
+        data[pos] ^= 1  # "0" <-> "1"
+        yield data.decode()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_candidates_agree_on_explicit_windows(k):
+    """Flipped letters put tiles outside the language into the rows, and
+    periodic windows give runs of one carrier tile between equal gaps."""
+    span = 1 << k
+    blocks = {b.letters for b in MORSE.language(span)}
+    periodic = ["0" * 32, "01" * 16, "0010" * 8, "0111" * 8, "110" * 11]
+    periodic.append("01100000" * 4)  # the gap tile 0000 is no Morse block
+    for text in [*flipped_morse_windows(), *periodic]:
+        window = Window(BINARY.word(text), 16)
+        rows = _Slices(span, [window]).tiles(0)
+        for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
+            want = oracle.candidates(kind, rows, blocks)
+            assert _candidates(kind, rows, blocks) == want
+
+
+def test_morse_identity_slices_no_word(monkeypatch):
+    """At a level d >= 1 no sampled window or covering word is cut into
+    span-slices."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return words.tile_phases(*args)
+
+    monkeypatch.setattr(conjugacy, "tile_phases", counted)
+    assert verify_morse_certificate(MORSE, identity("morse", MORSE, 4)).accepted
+    assert calls == []

@@ -298,6 +298,48 @@ class TestPeriodicWindow:
         with pytest.raises(RangeError):
             morse.periodic_window(Seed(0, 0, 2), 0)
 
+    def test_seed_check_builds_no_seed_list(self, monkeypatch):
+        """On a -> a(a+1)a over 255 letters every one of the 65,025 pairs is
+        a seed of period 1; checking one seed must not list them."""
+        n = 255
+        alphabet = Alphabet(tuple(chr(0x4E00 + a) for a in range(n)))
+        sub = Substitution(
+            alphabet,
+            tuple(Word(alphabet, bytes((a, (a + 1) % n, a))) for a in range(n)),
+        )
+        calls = []
+        for name in ("periodic_seeds", "_seed_sweep"):
+            monkeypatch.setattr(
+                Substitution, name, lambda *args, name=name: calls.append(name)
+            )
+        seed = Seed(0, 0, 1)
+        got = sub.periodic_window(seed, 4).word.letters
+        assert calls == []
+        assert got == oracle.periodic_window(letters(sub), 0, 0, 1, 4, 1 << 20)
+
+    def test_huge_periods_are_checked_by_squaring(self, morse):
+        # seed 0.0 of Morse is admissible exactly at even periods
+        start = time.perf_counter()
+        with pytest.raises(CapacityError) as err:
+            morse.periodic_window(Seed(0, 0, 10**9), 4)
+        assert str(err.value) == "r**k = 2**1000000000 exceeds cap 1048576"
+        with pytest.raises(SeedError, match="is not admissible"):
+            morse.periodic_window(Seed(0, 0, 10**9 + 1), 4)
+        assert morse.periodic_seeds(10**9 + 1) == []
+        assert len(morse.periodic_seeds(10**18)) == 4
+        assert time.perf_counter() - start < 1
+
+
+class TestBoundaryMaps:
+    def test_squaring_agrees_with_the_sweep(self):
+        rng = random.Random(7)
+        for size, r in ((2, 2), (3, 2), (5, 3), (17, 4)):
+            sub = random_substitution(rng, size, r)
+            for p, left, right in sub._seed_sweep(40):
+                assert sub.periodic_seeds(p) == [
+                    Seed(a, b, p) for a in left for b in right
+                ]
+
 
 class TestLanguage:
     def test_morse_block_counts(self, morse):
