@@ -24,12 +24,20 @@ Verification tiles each covering word of the 2R-blocks (sigma**m(ab) for
 each 2-block ab, or each block of an explicit source) once per phase and
 passes every 2R-window lying on exactly one pattern-free run of
 certificate tiles; only the other windows are parsed one by one, in sorted
-order, so a rejection still names the least failing block.  Searches
-derive candidates from the first sampled window, which any accepted
-certificate must parse: C0/C1 from the (carrier) tiles of a phase, C0'/C1'
-from its gaps by the neighbor table, open slots from the language blocks.
-As the derived set holds every certificate that can be accepted, verifying
-it in lexicographic order still returns the least certificate.
+order, so a rejection still names the least failing block.  For a
+substitution of length r, with r**d the largest power of r dividing the
+span, the sampled windows and covering words are sigma**d of level words
+(each point is sigma**d of a level point), so a tile is fixed by its
+offset mod r**d and one level block: tile codes come from per-offset
+tables that ``bytes.find`` fills, and a phase at an offset where no
+certificate block occurs holds only code 0 and is skipped.  With d = 0
+(explicit sources, r not dividing the span) windows are cut into
+span-slices.  Searches derive candidates from the first sampled window,
+which any accepted certificate must parse: C0/C1 from the (carrier) tiles
+of a phase, C0'/C1' from its gaps by the neighbor table, open slots from
+the language blocks.  As the derived set holds every certificate that can
+be accepted, verifying it in lexicographic order still returns the least
+certificate.
 
 ``derive_substitution`` runs the constructive direction: from a block rule
 realizing a conjugacy onto an r-fold self-similar image it builds the
@@ -542,21 +550,16 @@ class _Levels:
         ]
 
 
-def _level(source: LanguageSource, span: int) -> int:
-    """The largest d with r**d dividing the span, for a substitution source
-    of length r; 0 for every other source."""
-    d = 0
+def _tiler(source: LanguageSource, span: int, radius: int):
+    """Labels of the sampled windows, then a tiler over those windows and
+    the covering words of the 2R-blocks, in that order: a level view at the
+    largest d with r**d dividing the span for a substitution of length r,
+    else span-slices."""
+    n, d = 2 * radius, 0
     if isinstance(source, SubstitutionSource):
         r = source.substitution.length
         while span % r ** (d + 1) == 0:
             d += 1
-    return d
-
-
-def _tiler(source: LanguageSource, span: int, radius: int):
-    """Labels of the sampled windows, then a tiler over those windows and
-    the covering words of the 2R-blocks, in that order."""
-    n, d = 2 * radius, _level(source, span)
     if d == 0:
         samples = source.sample_windows(radius)
         if isinstance(source, SubstitutionSource):
@@ -577,6 +580,7 @@ def _tiler(source: LanguageSource, span: int, radius: int):
         last, first = sub._boundary_maps(-d % seed.period)
         level = Seed(last[seed.left], first[seed.right], seed.period)
         win = sub.periodic_window(level, level_radius)
+        # refuse the radii at which the seed's own window is refused
         sub._check_growth(seed.period, radius, DEFAULT_MAX_LEN)
         labels.append(f"seed {seed}")
         words.append((win.word.letters, -level_radius * size, -radius, radius))

@@ -10,8 +10,9 @@ from morsetoeplitz import conjugacy, words
 from morsetoeplitz import (
     BINARY,
     MORSE,
-    Alphabet,
     TOEPLITZ,
+    Alphabet,
+    CapacityError,
     ExplicitSource,
     MorseCertificate,
     Seed,
@@ -236,6 +237,13 @@ def test_explicit_block_failures_name_the_least_block():
     assert verdict.detail.startswith("block[")
 
 
+def flipped_morse_windows():
+    for pos in range(len(MORSE_WINDOW)):
+        data = bytearray(MORSE_WINDOW, "ascii")
+        data[pos] ^= 1  # "0" <-> "1"
+        yield data.decode()
+
+
 def test_searches_agree_on_flipped_morse_windows():
     """One flipped letter breaks the Morse window's gap pattern, so most
     candidate carriers meet a gap slot that two tiles claim."""
@@ -261,6 +269,7 @@ def test_radii_near_three_tiles_agree(radius):
 
 # systems whose spans 2**k are read at a level d >= 1 for k >= 1 (r = 2),
 # k >= 2 (r = 4, c = 2 at odd k) or k >= 3 (r = 8, c = 2 at k = 4); the
+# seeds of "period three" have period 3, so -d and d differ mod it, and the
 # level blocks of "wide keys" are too many for one byte to name: 270 at
 # c = 1 and 540 at c = 2
 LEVEL_SYSTEMS = {
@@ -276,6 +285,7 @@ LEVEL_SYSTEMS = {
         "morse^3",
     )
 }
+LEVEL_SYSTEMS["period three"] = parse_substitution("0->12;1->20;2->01")
 LETTERS_90 = Alphabet(tuple(chr(0x4E00 + a) for a in range(90)))
 LEVEL_SYSTEMS["wide keys"] = Substitution(
     LETTERS_90,
@@ -317,7 +327,7 @@ def test_level_verdicts_agree(name, k):
 
 
 def sliced(sub, span, radius):
-    """Today's tiler over the sampled windows and the covering words."""
+    """The span-slice tiler over the sampled windows and covering words."""
     source = SubstitutionSource(sub)
     windows = [win for _, win in source.sample_windows(radius)]
     windows += [Window(w, 0) for w in sub.covering_words(2 * radius)]
@@ -353,20 +363,6 @@ def test_level_rows_match_sliced_rows(name, k):
                 assert not rows
 
 
-@pytest.mark.parametrize("name", sorted(n for n in SYSTEMS if "swap" not in n))
-def test_candidates_agree_with_the_pairwise_loop(name):
-    """On the reference windows of every primitive system in SYSTEMS."""
-    sub = SYSTEMS[name]
-    for k in range(5):
-        span = 1 << k
-        _, window = SubstitutionSource(sub).sample_windows(32 * span)[0]
-        rows = _Slices(span, [window]).tiles(0)
-        blocks = {b.letters for b in sub.language(span)}
-        for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
-            want = oracle.candidates(kind, rows, blocks)
-            assert _candidates(kind, rows, blocks) == want
-
-
 def no_pattern(word, max_len=None):
     return None
 
@@ -379,11 +375,18 @@ PATTERN_FREE_KINDS = [
 ]
 
 
-def flipped_morse_windows():
-    for pos in range(len(MORSE_WINDOW)):
-        data = bytearray(MORSE_WINDOW, "ascii")
-        data[pos] ^= 1  # "0" <-> "1"
-        yield data.decode()
+@pytest.mark.parametrize("name", sorted(n for n in SYSTEMS if "swap" not in n))
+def test_candidates_agree_with_the_pairwise_loop(name):
+    """On the reference windows of every primitive system in SYSTEMS."""
+    sub = SYSTEMS[name]
+    for k in range(5):
+        span = 1 << k
+        _, window = SubstitutionSource(sub).sample_windows(32 * span)[0]
+        rows = _Slices(span, [window]).tiles(0)
+        blocks = {b.letters for b in sub.language(span)}
+        for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
+            want = oracle.candidates(kind, rows, blocks)
+            assert _candidates(kind, rows, blocks) == want
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -400,6 +403,19 @@ def test_candidates_agree_on_explicit_windows(k):
         for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
             want = oracle.candidates(kind, rows, blocks)
             assert _candidates(kind, rows, blocks) == want
+
+
+def test_level_view_refuses_what_the_words_would():
+    """At k = 16 the sampled windows would outgrow the cap; at k = 15 they
+    fit, and the covering words sigma**21(ab) are over the power cap."""
+    cases = [
+        (16, "window growth exceeds cap 1048576"),
+        (15, "r**k = 2**21 exceeds cap 1048576"),
+    ]
+    for k, text in cases:
+        with pytest.raises(CapacityError) as err:
+            verify_morse_certificate(MORSE, identity("morse", MORSE, k))
+        assert str(err.value) == text
 
 
 def test_morse_identity_slices_no_word(monkeypatch):
