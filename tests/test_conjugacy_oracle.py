@@ -270,8 +270,8 @@ def test_radii_near_three_tiles_agree(radius):
 # systems whose spans 2**k are read at a level d >= 1 for k >= 1 (r = 2),
 # k >= 2 (r = 4, c = 2 at odd k) or k >= 3 (r = 8, c = 2 at k = 4); the
 # seeds of "period three" have period 3, so -d and d differ mod it, and the
-# level blocks of "wide keys" are too many for one byte to name: 270 at
-# c = 1 and 540 at c = 2
+# 2-block codes of "wide keys", 17**2 = 289 of them with the sentinel, are
+# one too wide for a byte, so its level blocks are keyed by a dict
 LEVEL_SYSTEMS = {
     name: SYSTEMS[name]
     for name in (
@@ -286,11 +286,11 @@ LEVEL_SYSTEMS = {
     )
 }
 LEVEL_SYSTEMS["period three"] = parse_substitution("0->12;1->20;2->01")
-LETTERS_90 = Alphabet(tuple(chr(0x4E00 + a) for a in range(90)))
+LETTERS_16 = Alphabet(tuple(chr(0x4E00 + a) for a in range(16)))
 LEVEL_SYSTEMS["wide keys"] = Substitution(
-    LETTERS_90,
+    LETTERS_16,
     tuple(
-        Word(LETTERS_90, bytes((a, (a + 1) % 90, (a + 2) % 90, a))) for a in range(90)
+        Word(LETTERS_16, bytes((a, (a + 1) % 16, (a + 2) % 16, a))) for a in range(16)
     ),
 )
 
