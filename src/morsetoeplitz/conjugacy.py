@@ -469,14 +469,11 @@ class _Slices:
 class _Levels:
     """Tiles of words given as sigma**d of level words, D = r**d dividing
     the span c*D.  The tile at bilateral index t0 is the image of the level
-    (c+1)-block at the level position of t0, read from offset t0 mod D; a
-    sentinel letter pads each level word for the last tile at offset 0,
-    which never reads it.  Each word is the row of its level-block keys, so
-    a tile is one (offset, key) pair and no slice is hashed per window.  A
-    key is the block's base-s code, s counting the letters and the
-    sentinel, when every code fits a byte: c+1 big-int multiply-adds then
-    key a whole word, as no byte's digit carries into the next.  Otherwise
-    keys are the blocks' indices in a dict.
+    (c+1)-block at the level position of t0, read from offset t0 mod D; the
+    last block of a level word is padded with letter 0, which the last
+    tile, at offset 0, never reads.  Each word is the row of its level-block
+    keys, indices in one dict, so a tile is one (offset, key) pair and no
+    slice is hashed per window.
 
     A certificate block sits at offset o of a tile only where it occurs at
     o in a key's image, so ``bytes.find`` over the images gives one code
@@ -488,34 +485,18 @@ class _Levels:
     def __init__(self, sub: Substitution, span: int, d: int, words: list[tuple]):
         self.span, self.size = span, sub.length**d
         self.c = c = span // self.size
-        s = sub.alphabet.size + 1
-        self.wide = s ** (c + 1) > 256
-        sentinel = bytes((s - 1,))
         index: dict[bytes, int] = {}
         self.words = []
         for level, base, lo, hi in words:
-            padded, count = level + sentinel, len(level) - c + 1
-            if self.wide:
-                blocks = (padded[q : q + c + 1] for q in range(count))
-                keys = [index.setdefault(block, len(index)) for block in blocks]
-            else:
-                code = 0
-                for t in range(c + 1):
-                    code = code * s + int.from_bytes(padded[t : t + count], "big")
-                keys = code.to_bytes(count, "big")
+            padded = level + b"\0"
+            keys = [
+                index.setdefault(padded[q : q + c + 1], len(index))
+                for q in range(len(level) - c + 1)
+            ]
             self.words.append((level, keys, base, lo, hi))
-        if not self.wide:  # the letters of a code are its base-s digits
-            codes = set().union(*(keys for _, keys, *_ in self.words))
-            digits = [s ** (c - t) for t in range(c + 1)]
-            index = {bytes(key // p % s for p in digits): key for key in codes}
         self.lengths = [hi - lo for *_, lo, hi in words]
-        self.letter_images = sub._iterate(d)
-        images = self.letter_images + (b"\xff" * self.size,)
-        self.images = {
-            key: b"".join(images[a] for a in block) for block, key in index.items()
-        }
-        # code tables are indexed by key; 256 byte codes make a translate table
-        self.table_size = len(index) if self.wide else 256
+        self.letter_images = images = sub._iterate(d)
+        self.images = [b"".join(images[a] for a in block) for block in index]
 
     def letters(self, w: int) -> bytes:
         level, _, base, lo, hi = self.words[w]
@@ -548,18 +529,15 @@ class _Levels:
         size, stop = self.size, self.size + self.span - 1
         tables: dict[int, bytearray] = {}
         for bit, block in enumerate(cert.blocks):
-            for key, image in self.images.items():
+            for key, image in enumerate(self.images):
                 o = image.find(block.letters, 0, stop)
                 while o >= 0:
-                    tables.setdefault(o, bytearray(self.table_size))[key] |= 1 << bit
+                    tables.setdefault(o, bytearray(len(self.images)))[key] |= 1 << bit
                     o = image.find(block.letters, o + 1, stop)
         js = [t * size + o for t in range(self.c) for o in sorted(tables)]
-
-        def row(keys, table):
-            return [table[k] for k in keys] if self.wide else keys.translate(table)
-
         return lambda w: [
-            (j, t0, row(keys, tables[o])) for j, t0, o, keys in self._phases(w, js)
+            (j, t0, [tables[o][key] for key in keys])
+            for j, t0, o, keys in self._phases(w, js)
         ]
 
 

@@ -269,9 +269,8 @@ def test_radii_near_three_tiles_agree(radius):
 
 # systems whose spans 2**k are read at a level d >= 1 for k >= 1 (r = 2),
 # k >= 2 (r = 4, c = 2 at odd k) or k >= 3 (r = 8, c = 2 at k = 4); the
-# seeds of "period three" have period 3, so -d and d differ mod it, and the
-# 2-block codes of "wide keys", 17**2 = 289 of them with the sentinel, are
-# one too wide for a byte, so its level blocks are keyed by a dict
+# seeds of "period three" have period 3, so -d and d differ mod it, and
+# "sixteen letters" is an r = 4 system over more than two or three letters
 LEVEL_SYSTEMS = {
     name: SYSTEMS[name]
     for name in (
@@ -287,7 +286,7 @@ LEVEL_SYSTEMS = {
 }
 LEVEL_SYSTEMS["period three"] = parse_substitution("0->12;1->20;2->01")
 LETTERS_16 = Alphabet(tuple(chr(0x4E00 + a) for a in range(16)))
-LEVEL_SYSTEMS["wide keys"] = Substitution(
+LEVEL_SYSTEMS["sixteen letters"] = Substitution(
     LETTERS_16,
     tuple(
         Word(LETTERS_16, bytes((a, (a + 1) % 16, (a + 2) % 16, a))) for a in range(16)
