@@ -503,15 +503,14 @@ class _Levels:
         return b"".join(self.letter_images[a] for a in level)[lo - base : hi - base]
 
     def _phases(self, w: int, js):
-        """(phase, start, offset, keys) of word w at the phases js."""
+        """(phase, start, offset, keys) of word w at the phases js; a word
+        holds at least 2R >= 6 spans, so every phase has 5 tiles or more."""
         _, keys, base, lo, hi = self.words[w]
         span, size, c = self.span, self.size, self.c
         for j in js:
             t0 = lo + (j - lo) % span
-            count = (hi - t0) // span
-            if count >= 3:
-                q0 = (t0 - base) // size
-                yield j, t0, j % size, keys[q0 : q0 + count * c : c]
+            q0, count = (t0 - base) // size, (hi - t0) // span
+            yield j, t0, j % size, keys[q0 : q0 + count * c : c]
 
     def tiles(self, w: int) -> list[list[bytes]]:
         span, cut = self.span, {}

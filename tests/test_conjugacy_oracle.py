@@ -269,12 +269,14 @@ def test_radii_near_three_tiles_agree(radius):
 
 # systems whose spans 2**k are read at a level d >= 1 for k >= 1 (r = 2),
 # k >= 2 (r = 4, c = 2 at odd k) or k >= 3 (r = 8, c = 2 at k = 4); the
-# seeds of "period three" have period 3, so -d and d differ mod it, and
-# "sixteen letters" is an r = 4 system over more than two or three letters
+# Toeplitz words hold 000, so the block 00 sits at two overlapping offsets
+# of one level image; the seeds of "period three" have period 3, so -d and
+# d differ mod it; "sixteen letters" is an r = 4 system over 16 letters
 LEVEL_SYSTEMS = {
     name: SYSTEMS[name]
     for name in (
         "morse",
+        "toeplitz",
         "renamed three",
         "shared image",
         "morse^2",
