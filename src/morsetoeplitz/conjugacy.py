@@ -706,9 +706,17 @@ def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
     except IndexError:
         raise RangeError(f"verdict has no phase entry {index}") from None
     target = kind.target
-    out = _image(target._iterate(k), entry.tokens.letters.translate(_PARITY))
+    letters = entry.tokens.letters.translate(_PARITY)
+    out = _image(target._iterate(k), letters)
     origin = min(max(-entry.start, 0), len(out))
     window = Window(Word(target.alphabet, out), origin)
+    # a (2**k + 2)-factor of the image lies in the image of at most three
+    # tokens, and the target maps its language into itself: when every
+    # 3-factor of the tokens (all of them, if shorter) is in the language,
+    # so is every factor of the image, and language(2**k + 2) is not built
+    n = min(len(letters), 3)
+    if n and Word(target.alphabet, letters).factors(n) <= target.language(n):
+        return window
     depth = (1 << k) + 2
     good = target.language(depth)
     for piece in window.word.factors(min(depth, len(out))):

@@ -3,24 +3,33 @@
 Two patterns are searched for:
 
 * an overlap BBb, a square BB immediately followed by the first letter of B
-  again; words avoiding it are exactly the factors of the Morse minimal set
-  (over the binary alphabet);
+  again;
 * a square BB where B contains an even number of a marked letter, zero
-  included; binary words avoiding it are exactly the factors of the
-  Toeplitz minimal set.
+  included.
+
+Every factor of the Morse minimal set is overlap-free, and every factor of
+the Toeplitz minimal set, with 0 marked, is free of even squares.  Only
+this direction holds for finite words: 00100 has no overlap and is no Morse
+factor, and 1001 has no even square and is no Toeplitz factor.  Of the
+binary words of length 12, 24 avoid overlaps without being Morse factors
+and 10 avoid even squares without being Toeplitz factors.
 
 Witnesses are reported deterministically: smallest start, then smallest
-half length.  Both scanners share one bit-parallel sweep over the half
-length h.  The word is packed into one Python int per bit of the letter
-code, and from these one int E_h whose bit i says w[i] == w[i + h].  An
-overlap of half h at i is h + 1 consecutive ones of E_h from bit i; an even
-square is h ones there whose half holds evenly many marked letters, read
-off a prefix-parity int.  A run of k ones takes about log2(k) shift-and
-steps.  The lowest set bit gives the least start for each h, and h grows,
-so a later h replaces the witness only with a strictly smaller start: the
-same (start, half length) tie-break as the plain double loop over starts
-and half lengths.  The sweep is still quadratic in the word length, but
-each big-int step covers a machine word of starts at once.
+half length.  A binary word goes first to ``substitution._is_factor``: a
+word it proves to be a Morse factor has no overlap, and one it proves to be
+a Toeplitz factor, after a renaming that makes the marked letter 0, has no
+even square.  That proof takes time linear in the word length.  Every other
+word runs one bit-parallel sweep over the half length h.  The word is
+packed into one Python int per bit of the letter code, and from these one
+int E_h whose bit i says w[i] == w[i + h].  An overlap of half h at i is
+h + 1 consecutive ones of E_h from bit i; an even square is h ones there
+whose half holds evenly many marked letters, read off a prefix-parity int.
+A run of k ones takes about log2(k) shift-and steps.  The lowest set bit
+gives the least start for each h, and h grows, so a later h replaces the
+witness only with a strictly smaller start: the same (start, half length)
+tie-break as the plain double loop over starts and half lengths.  The sweep
+is quadratic in the word length, but each big-int step covers a machine
+word of starts at once.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .substitution import MORSE, TOEPLITZ
-from .words import Word
+from .substitution import MORSE, TOEPLITZ, _is_factor
+from .words import _SWAP01, Word
 
 OVERLAP_KIND = "overlap_BBb"
 EVEN_SQUARE_KIND = "even_square_BB"
@@ -131,6 +140,8 @@ def _least_repeat(
 def find_overlap(w: Word, max_len: int = DEFAULT_SCAN_CAP) -> PatternWitness | None:
     """First overlap BBb in the word, or None; works over any alphabet."""
     _check_scan_len(w, max_len)
+    if _is_factor(MORSE, w.letters):
+        return None
     hit = _least_repeat(w.letters, 1)
     return None if hit is None else PatternWitness(*hit, OVERLAP_KIND)
 
@@ -146,6 +157,10 @@ def find_even_square(
     _check_scan_len(w, max_len)
     if not 0 <= zero < w.alphabet.size:
         raise DomainError(f"marked letter {zero} not in alphabet {w.alphabet}")
+    if zero < 2 and _is_factor(
+        TOEPLITZ, w.letters.translate(_SWAP01) if zero else w.letters
+    ):
+        return None
     hit = _least_repeat(w.letters, 0, zero)
     return None if hit is None else PatternWitness(*hit, EVEN_SQUARE_KIND, zero)
 

@@ -41,7 +41,7 @@ from .errors import (
     RangeError,
     SeedError,
 )
-from .words import Alphabet, Window, Word, _trusted_word, phase_tokens
+from .words import _LETTERS, Alphabet, Window, Word, _trusted_word, phase_tokens
 
 #: Cap on the length of any materialized word.
 DEFAULT_MAX_LEN = 1 << 20
@@ -137,6 +137,19 @@ class Substitution:
     @functools.cached_property
     def _letters(self) -> tuple[bytes, ...]:
         return tuple(im.letters for im in self.images)
+
+    @functools.cached_property
+    def _tile_codes(self) -> bytes | None:
+        """Table from the base-s code of an r-tile to the letter with that
+        image, 255 for no letter; None unless the images are distinct and
+        every code fits a byte."""
+        size, r = self.alphabet.size, self.length
+        if size**r > 256 or not self.is_injective():
+            return None
+        table = bytearray(b"\xff" * 256)
+        for a, im in enumerate(self._letters):
+            table[functools.reduce(lambda c, x: c * size + x, im, 0)] = a
+        return bytes(table)
 
     # -- periodic points --------------------------------------------------
 
@@ -365,6 +378,78 @@ def _covering_words(sub: Substitution, n: int, d: int = 0) -> tuple[bytes, ...]:
     sub._check_power(m, DEFAULT_MAX_LEN)
     pimgs = sub._iterate(m - d)
     return tuple(pimgs[u] + pimgs[v] for u, v in sorted(pairs))
+
+
+#: ``_is_factor`` gives up when more desubstituted words than this stay live.
+_LIVE_CAP = 4
+
+#: ``_is_factor`` looks words this short up in ``language``: one set lookup
+#: costs less than a level of desubstitution.  It exceeds 2r for every r with
+#: 2**r <= 256, so a longer word holds a full tile at every phase.
+_SHORT = 32
+
+
+def _is_factor(sub: Substitution, data: bytes) -> bool:
+    """True only with a proof that ``data`` is a factor of the language of
+    ``sub``; False means "not proved", not "not a factor".
+
+    Desubstitution, level by level.  Each live word w is cut at every phase
+    p < r into a partial head w[:p], full r-tiles and a partial tail.  The
+    tiles' base-s codes are r big-int multiply-adds, one per offset, and
+    one translation maps them to letters; a phase with a tile that is no
+    image dies.  The head resolves to the letters whose image ends with
+    it, the tail to those whose image starts with it; a partial tile that
+    every letter accepts is dropped.  That leaves preimages u of about
+    len(w) / r letters, one per choice of end letters, with w a factor of
+    sigma(u) whenever the dropped ends are filled by suitable letters.
+    Words of at most ``_SHORT`` letters are looked up in ``language``.
+
+    Soundness: sigma maps the language into itself and, for a primitive
+    substitution, every word of the language extends on both sides by a
+    letter.  So a preimage in the language, its dropped ends filled by
+    letters that extend it, has an image in the language that holds w.
+    Recognizability (Mossé 1992) is what makes this complete in practice:
+    a long enough factor of an aperiodic system has one phase, so for the
+    Morse and Toeplitz substitutions a single preimage stays live.
+
+    Not proved at once: a non-primitive substitution, images that are not
+    distinct or whose codes pass a byte, a letter outside the alphabet, or
+    more than ``_LIVE_CAP`` live words on one level.
+    """
+    table = sub._tile_codes
+    size, r = sub.alphabet.size, sub.length
+    if table is None or data.translate(None, _LETTERS[:size]) or not sub._primitive:
+        return False
+    imgs = sub._letters
+    live = {data}
+    while live:
+        if len(live) > _LIVE_CAP:
+            return False
+        level = set()
+        for w in live:
+            n = len(w)
+            if n <= _SHORT:
+                if not w or _trusted_word(sub.alphabet, w) in sub.language(n):
+                    return True
+                continue
+            for p in range(r):
+                count = (n - p) // r
+                end = p + count * r
+                code = 0
+                for t in range(r):
+                    code = code * size + int.from_bytes(w[p + t : end : r], "big")
+                core = code.to_bytes(count, "big").translate(table)
+                if 255 in core:
+                    continue
+                heads = [a for a in range(size) if imgs[a].endswith(w[:p])]
+                tails = [a for a in range(size) if imgs[a].startswith(w[end:])]
+                level.update(
+                    bytes(head) + core + bytes(tail)
+                    for head in ([()] if len(heads) == size else [(a,) for a in heads])
+                    for tail in ([()] if len(tails) == size else [(a,) for a in tails])
+                )
+        live = level
+    return False
 
 
 def _language(sub: Substitution, n: int) -> frozenset[Word]:

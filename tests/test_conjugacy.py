@@ -1,9 +1,13 @@
 """Certificate verification, recoding, searches, and induced substitutions."""
 
+import random
+
 import pytest
 
 from morsetoeplitz import (
     BINARY,
+    MORSE,
+    TOEPLITZ,
     Alphabet,
     CapacityError,
     ConsistencyError,
@@ -373,6 +377,60 @@ class TestRecoding:
         )
         with pytest.raises(ConsistencyError):
             recode_toeplitz(cert, verdict)
+
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_identity_recodes_at_the_largest_verified_scales(self, morse, toeplitz, k):
+        m0, m1 = (w.letters for w in morse.power(k).images)
+        t0, t1 = (w.letters for w in toeplitz.power(k).images)
+        mc = MorseCertificate(k, *(Word(BINARY, b) for b in (m0, m1, m0, m1)))
+        tc = ToeplitzCertificate(k, Word(BINARY, t0), Word(BINARY, t1))
+        for recode, verify, source, cert in (
+            (recode_morse, verify_morse_certificate, morse, mc),
+            (recode_toeplitz, verify_toeplitz_certificate, toeplitz, tc),
+        ):
+            verdict = verify(source, cert)
+            assert verdict.accepted
+            out = recode(cert, verdict)
+            assert len(out.word) == len(verdict.phases[0].tokens) << k
+
+    def test_token_block_check_raises_exactly_when_the_factor_check_does(self):
+        """Against the postcondition as it was checked before: every
+        (2**k + 2)-factor of the image in the target's language."""
+        rng = random.Random(5)
+        raised = passed = 0
+        for target, recode, name, tokens in (
+            (TOEPLITZ, recode_toeplitz, "toeplitz", BINARY),
+            (MORSE, recode_morse, "morse", MORSE_TOKENS),
+        ):
+            factors = target.power(6).images[0].letters
+            for k in range(7):
+                # recoding reads only the scale of the certificate
+                zeros, ones = "0" * (1 << k), "1" * (1 << k)
+                cert = tcert(k, zeros, ones) if name == "toeplitz" else mcert(
+                    k, zeros, ones, zeros, ones
+                )
+                depth = (1 << k) + 2
+                for _ in range(40):
+                    n = rng.randrange(1, 12)
+                    if rng.random() < 0.3:
+                        at = rng.randrange(len(factors) - n)
+                        letters = factors[at : at + n]
+                    else:
+                        letters = bytes(rng.randrange(tokens.size) for _ in range(n))
+                    out = Word(BINARY, bytes(t & 1 for t in letters))
+                    for _ in range(k):
+                        out = target.apply(out)
+                    verdict = ParseVerdict(
+                        True, (PhaseParse(0, 0, Word(tokens, letters)),), None, name, 64
+                    )
+                    if len(out) >= depth and not out.factors(depth) <= target.language(depth):
+                        with pytest.raises(ConsistencyError):
+                            recode(cert, verdict)
+                        raised += 1
+                    else:
+                        assert recode(cert, verdict).word == out
+                        passed += 1
+        assert raised > 40 and passed > 400
 
     def test_rejected_verdicts_cannot_be_recoded(self, toeplitz):
         cert = tcert(0, "1", "0")

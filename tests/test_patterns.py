@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morsetoeplitz import (
+    MORSE,
+    TOEPLITZ,
     Alphabet,
     BINARY,
     CapacityError,
@@ -19,6 +21,7 @@ from morsetoeplitz import (
     find_even_square,
     find_overlap,
 )
+from morsetoeplitz import patterns
 from patterns_oracle import _even_square_small, _overlap_small
 
 
@@ -270,3 +273,65 @@ class TestArbitraryWords:
             assert loc(hit) == expected
             if hit is not None:
                 assert hit.matches(word)
+
+
+class TestProvedFactors:
+    """Morse and Toeplitz factors are answered by ``_is_factor`` alone; every
+    other word still gets the sweep's least witness."""
+
+    @staticmethod
+    def no_sweep(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sweep ran on a proved factor")
+
+        monkeypatch.setattr(patterns, "_least_repeat", refuse)
+
+    def test_long_factors_skip_the_sweep(self, morse, toeplitz, monkeypatch):
+        m = morse.periodic_window(Seed(0, 0, 2), 1 << 16).word.letters
+        t = toeplitz.periodic_window(Seed(0, 0, 2), 1 << 16).word.letters
+        swap = bytes.maketrans(b"\0\1", b"\1\0")
+        self.no_sweep(monkeypatch)
+        assert find_overlap(binary(m[: 1 << 16])) is None
+        assert find_overlap(binary(m[1 << 16 :].translate(swap))) is None
+        assert find_even_square(binary(t[1 << 15 : 3 << 15])) is None
+        assert find_even_square(binary(t[: 1 << 16].translate(swap)), 1) is None
+
+    def test_other_words_still_sweep(self, morse, monkeypatch):
+        self.no_sweep(monkeypatch)
+        with pytest.raises(AssertionError):
+            find_overlap(BINARY.word("00100"))
+        with pytest.raises(AssertionError):
+            find_even_square(BINARY.word("1001"))
+        with pytest.raises(AssertionError):
+            find_even_square(Alphabet.from_names("012").word("0110"), 2)
+
+    factors = st.tuples(
+        st.sampled_from(["morse", "toeplitz"]),
+        st.integers(0, 1 << 12),
+        st.integers(0, 160),
+        st.none() | st.tuples(st.integers(0, 159), st.integers(0, 2)),
+        st.booleans(),
+        st.integers(2, 3),
+    )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(factors)
+    def test_edited_and_renamed_factors_match_the_oracle(self, case):
+        """Factors, factors with one letter changed (to 2 as well), their
+        0/1 renamings, over two or three letters, with either letter 0 or 1
+        marked."""
+        name, at, n, edit, swap, size = case
+        base = {"morse": MORSE, "toeplitz": TOEPLITZ}[name]
+        data = bytearray(base.periodic_window(Seed(0, 0, 2), 4096).word.letters)
+        data = data[at : at + n]
+        if edit is not None and edit[0] < len(data):
+            data[edit[0]] = edit[1] % size
+        data = bytes(data)
+        if swap:
+            data = data.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+        word = Word(Alphabet.from_names("012"[:size]), data)
+        assert loc(find_overlap(word)) == loc(_overlap_small(data)), data
+        for zero in range(size):
+            assert loc(find_even_square(word, zero)) == loc(
+                _even_square_small(data, zero)
+            ), (data, zero)

@@ -25,7 +25,12 @@ from morsetoeplitz import (
     system_seeds,
 )
 from morsetoeplitz import graphs
-from morsetoeplitz.substitution import LANGUAGE_BYTES_CAP, _LANGUAGES, _LanguageCache
+from morsetoeplitz.substitution import (
+    LANGUAGE_BYTES_CAP,
+    _LANGUAGES,
+    _LanguageCache,
+    _is_factor,
+)
 from morsetoeplitz.words import Window
 
 
@@ -494,3 +499,65 @@ class TestDesubstitute:
         win = Window(sub.alphabet.word("010110"), 3)
         phases = sub.desubstitute(1, win)
         assert [(j, w.text) for j, w in phases] == [(1, "001")]
+
+
+class TestIsFactor:
+    """``_is_factor`` against ``language``: True must mean membership, and
+    on the Morse and Toeplitz targets it must answer True for every block."""
+
+    @pytest.mark.parametrize("name", ["morse", "toeplitz"])
+    def test_sound_on_every_short_binary_word(self, name, request):
+        sub = request.getfixturevalue(name)
+        for n in range(1, 15):
+            blocks = {w.letters for w in sub.language(n)}
+            for x in range(1 << n):
+                data = bytes((x >> i) & 1 for i in range(n))
+                assert not _is_factor(sub, data) or data in blocks, data
+
+    @pytest.mark.parametrize("name", ["morse", "toeplitz", "three_letter"])
+    def test_sound_on_edited_factors(self, name, request):
+        """Words past the lookup length, so every proof desubstitutes.  In
+        three_letter, 0->12 and 1->02 both end with 2, so a head 2 makes
+        two preimages."""
+        sub = request.getfixturevalue(name)
+        source = sub.periodic_window(Seed(0, 0, 2), 4096).word.letters
+        rng = random.Random(len(name))
+        proved = refused = 0
+        for n in (33, 47, 64, 100, 200):
+            blocks = {w.letters for w in sub.language(n)}
+            for _ in range(200):
+                at = rng.randrange(len(source) - n)
+                data = bytearray(source[at : at + n])
+                for _ in range(rng.randrange(3)):
+                    data[rng.randrange(n)] = rng.randrange(sub.alphabet.size)
+                if _is_factor(sub, bytes(data)):
+                    assert bytes(data) in blocks, bytes(data)
+                    proved += 1
+                else:
+                    refused += 1
+        assert proved > 200 and refused > 200
+
+    @pytest.mark.parametrize("name", ["morse", "toeplitz", "three_letter"])
+    def test_proves_every_block_up_to_128(self, name, request):
+        sub = request.getfixturevalue(name)
+        assert _is_factor(sub, b"")
+        for n in range(1, 129):
+            for block in sub.language(n):
+                assert _is_factor(sub, block.letters), block.text
+
+    @pytest.mark.parametrize("name", ["morse", "toeplitz"])
+    def test_proves_long_slices(self, name, request):
+        sub = request.getfixturevalue(name)
+        data = sub.periodic_window(Seed(0, 0, 2), 1 << 17).word.letters
+        rng = random.Random(11)
+        for _ in range(4):
+            at = rng.randrange(len(data) - (1 << 16))
+            assert _is_factor(sub, data[at : at + (1 << 16)])
+
+    def test_not_proved_outside_its_domain(self, morse):
+        assert not _is_factor(morse, bytes([0, 1, 2]))
+        assert not _is_factor(parse_substitution("0->01;1->01;2->10"), b"0110")
+        assert not _is_factor(parse_substitution("0->00;1->11"), b"\0\0")
+        nine = parse_substitution("0->010011010;1->101100101")
+        assert nine._tile_codes is None
+        assert not _is_factor(nine, nine.images[0].letters)
