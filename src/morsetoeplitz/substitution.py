@@ -441,12 +441,12 @@ def _is_factor(sub: Substitution, data: bytes) -> bool:
                 core = code.to_bytes(count, "big").translate(table)
                 if 255 in core:
                     continue
-                heads = [a for a in range(size) if imgs[a].endswith(w[:p])]
-                tails = [a for a in range(size) if imgs[a].startswith(w[end:])]
+                heads = [bytes((a,)) for a in range(size) if imgs[a].endswith(w[:p])]
+                tails = [bytes((a,)) for a in range(size) if imgs[a].startswith(w[end:])]
                 level.update(
-                    bytes(head) + core + bytes(tail)
-                    for head in ([()] if len(heads) == size else [(a,) for a in heads])
-                    for tail in ([()] if len(tails) == size else [(a,) for a in tails])
+                    head + core + tail
+                    for head in (heads if len(heads) < size else [b""])
+                    for tail in (tails if len(tails) < size else [b""])
                 )
         live = level
     return False
