@@ -389,17 +389,33 @@ _LIVE_CAP = 4
 _SHORT = 32
 
 
+def _tile_letters(sub: Substitution, w: bytes, p: int, count: int) -> bytes:
+    """The letters whose images are the ``count`` r-tiles of ``w`` from p on,
+    255 for a tile that is no image.
+
+    Tile i has the base-s code sum_t w[p + i*r + t] * s**(r - 1 - t).  Term
+    t over all tiles is one integer read off every r-th letter from p + t;
+    r multiply-adds sum the terms, no code passes its byte, so the integer's
+    bytes are the codes in order, and one translation maps them to letters.
+    """
+    size, r = sub.alphabet.size, sub.length
+    end = p + count * r
+    code = 0
+    for t in range(p, p + r):
+        code = code * size + int.from_bytes(w[t:end:r], "big")
+    return code.to_bytes(count, "big").translate(sub._tile_codes)
+
+
 def _is_factor(sub: Substitution, data: bytes) -> bool:
     """True only with a proof that ``data`` is a factor of the language of
     ``sub``; False means "not proved", not "not a factor".
 
     Desubstitution, level by level.  Each live word w is cut at every phase
-    p < r into a partial head w[:p], full r-tiles and a partial tail.  The
-    tiles' base-s codes are r big-int multiply-adds, one per offset, and
-    one translation maps them to letters; a phase with a tile that is no
-    image dies.  The head resolves to the letters whose image ends with
-    it, the tail to those whose image starts with it; a partial tile that
-    every letter accepts is dropped.  That leaves preimages u of about
+    p < r into a partial head w[:p], full r-tiles and a partial tail.
+    ``_tile_letters`` maps the tiles to letters; a phase with a tile that
+    is no image dies.  The head resolves to the letters whose image ends
+    with it, the tail to those whose image starts with it; a partial tile
+    that every letter accepts is dropped.  That leaves preimages u of about
     len(w) / r letters, one per choice of end letters, with w a factor of
     sigma(u) whenever the dropped ends are filled by suitable letters.
     Words of at most ``_SHORT`` letters are looked up in ``language``.
@@ -416,9 +432,12 @@ def _is_factor(sub: Substitution, data: bytes) -> bool:
     distinct or whose codes pass a byte, a letter outside the alphabet, or
     more than ``_LIVE_CAP`` live words on one level.
     """
-    table = sub._tile_codes
     size, r = sub.alphabet.size, sub.length
-    if table is None or data.translate(None, _LETTERS[:size]) or not sub._primitive:
+    if (
+        sub._tile_codes is None
+        or data.translate(None, _LETTERS[:size])
+        or not sub._primitive
+    ):
         return False
     imgs = sub._letters
     live = {data}
@@ -434,13 +453,14 @@ def _is_factor(sub: Substitution, data: bytes) -> bool:
                 continue
             for p in range(r):
                 count = (n - p) // r
-                end = p + count * r
-                code = 0
-                for t in range(r):
-                    code = code * size + int.from_bytes(w[p + t : end : r], "big")
-                core = code.to_bytes(count, "big").translate(table)
+                # a phase that dies mostly dies within a few tiles, so try
+                # eight before all of them
+                if 255 in _tile_letters(sub, w, p, min(count, 8)):
+                    continue
+                core = _tile_letters(sub, w, p, count)
                 if 255 in core:
                     continue
+                end = p + count * r
                 heads = [bytes((a,)) for a in range(size) if imgs[a].endswith(w[:p])]
                 tails = [bytes((a,)) for a in range(size) if imgs[a].startswith(w[end:])]
                 level.update(

@@ -516,26 +516,27 @@ class TestIsFactor:
 
     @pytest.mark.parametrize("name", ["morse", "toeplitz", "three_letter"])
     def test_sound_on_edited_factors(self, name, request):
-        """Words past the lookup length, so every proof desubstitutes.  In
-        three_letter, 0->12 and 1->02 both end with 2, so a head 2 makes
-        two preimages."""
+        """Factors with up to three letter pairs rewritten, past the lookup
+        length, so every proof desubstitutes.  In three_letter, 0->12 and
+        1->02 both end with 2, so a head 2 makes two preimages."""
         sub = request.getfixturevalue(name)
         source = sub.periodic_window(Seed(0, 0, 2), 4096).word.letters
         rng = random.Random(len(name))
         proved = refused = 0
-        for n in (33, 47, 64, 100, 200):
+        for n in (33, 47, 64, 100, 130, 200, 300):
             blocks = {w.letters for w in sub.language(n)}
-            for _ in range(200):
+            for _ in range(400):
                 at = rng.randrange(len(source) - n)
                 data = bytearray(source[at : at + n])
-                for _ in range(rng.randrange(3)):
-                    data[rng.randrange(n)] = rng.randrange(sub.alphabet.size)
+                for _ in range(rng.randrange(4)):
+                    i = rng.randrange(n - 1)
+                    data[i : i + 2] = bytes(rng.randrange(sub.alphabet.size) for _ in "ab")
                 if _is_factor(sub, bytes(data)):
                     assert bytes(data) in blocks, bytes(data)
                     proved += 1
                 else:
                     refused += 1
-        assert proved > 200 and refused > 200
+        assert proved > 400 and refused > 400
 
     @pytest.mark.parametrize("name", ["morse", "toeplitz", "three_letter"])
     def test_proves_every_block_up_to_128(self, name, request):
