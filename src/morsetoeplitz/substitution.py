@@ -151,6 +151,13 @@ class Substitution:
             table[functools.reduce(lambda c, x: c * size + x, im, 0)] = a
         return bytes(table)
 
+    @functools.cached_property
+    def _short_cover(self) -> tuple[bytes, ...]:
+        """The covering words of ``language(_SHORT)``: for a primitive
+        substitution, a word of at most ``_SHORT`` letters is in the
+        language exactly when it occurs in one of them."""
+        return _covering_words(self, _SHORT)
+
     # -- periodic points --------------------------------------------------
 
     def periodic_seeds(self, p: int) -> list[Seed]:
@@ -383,9 +390,10 @@ def _covering_words(sub: Substitution, n: int, d: int = 0) -> tuple[bytes, ...]:
 #: ``_is_factor`` gives up when more desubstituted words than this stay live.
 _LIVE_CAP = 4
 
-#: ``_is_factor`` looks words this short up in ``language``: one set lookup
-#: costs less than a level of desubstitution.  It exceeds 2r for every r with
-#: 2**r <= 256, so a longer word holds a full tile at every phase.
+#: ``_is_factor`` looks words this short up in the covering words of their
+#: language: a few substring searches cost less than a level of
+#: desubstitution.  It exceeds 2r for every r with 2**r <= 256, so a longer
+#: word holds a full tile at every phase.
 _SHORT = 32
 
 
@@ -418,7 +426,8 @@ def _is_factor(sub: Substitution, data: bytes) -> bool:
     that every letter accepts is dropped.  That leaves preimages u of about
     len(w) / r letters, one per choice of end letters, with w a factor of
     sigma(u) whenever the dropped ends are filled by suitable letters.
-    Words of at most ``_SHORT`` letters are looked up in ``language``.
+    Words of at most ``_SHORT`` letters are looked up in the covering
+    words of ``language(_SHORT)``.
 
     Soundness: sigma maps the language into itself and, for a primitive
     substitution, every word of the language extends on both sides by a
@@ -448,7 +457,7 @@ def _is_factor(sub: Substitution, data: bytes) -> bool:
         for w in live:
             n = len(w)
             if n <= _SHORT:
-                if not w or _trusted_word(sub.alphabet, w) in sub.language(n):
+                if any(w in x for x in sub._short_cover):
                     return True
                 continue
             for p in range(r):
