@@ -462,10 +462,6 @@ def _is_factor(sub: Substitution, data: bytes) -> bool:
                 continue
             for p in range(r):
                 count = (n - p) // r
-                # a phase that dies mostly dies within a few tiles, so try
-                # eight before all of them
-                if 255 in _tile_letters(sub, w, p, min(count, 8)):
-                    continue
                 core = _tile_letters(sub, w, p, count)
                 if 255 in core:
                     continue
