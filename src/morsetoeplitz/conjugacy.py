@@ -30,14 +30,14 @@ span, the sampled windows and covering words are sigma**d of level words
 (each point is sigma**d of a level point), so a tile is fixed by its
 offset mod r**d and one level block: tile codes come from per-offset
 tables that ``bytes.find`` fills, and a phase at an offset where no
-certificate block occurs holds only code 0 and is skipped.  With d = 0
-(explicit sources, r not dividing the span) windows are cut into
-span-slices.  Searches derive candidates from the first sampled window,
-which any accepted certificate must parse: C0/C1 from the (carrier) tiles
-of a phase, C0'/C1' from its gaps by the neighbor table, open slots from
-the language blocks.  As the derived set holds every certificate that can
-be accepted, verifying it in lexicographic order still returns the least
-certificate.
+certificate block occurs holds only code 0 and is skipped.  An explicit
+source, like a substitution whose length does not divide the span, is its
+own level at d = 0.  Searches derive candidates from the first sampled
+window, which any accepted certificate must parse: C0/C1 from the
+(carrier) tiles of a phase, C0'/C1' from its gaps by the neighbor table,
+open slots from the language blocks.  As the derived set holds every
+certificate that can be accepted, verifying it in lexicographic order
+still returns the least certificate.
 
 ``derive_substitution`` runs the constructive direction: from a block rule
 realizing a conjugacy onto an r-fold self-similar image it builds the
@@ -73,7 +73,7 @@ from .substitution import (
     _image,
     system_seeds,
 )
-from .words import Alphabet, BINARY, Window, Word, phase_tokens, tile_phases
+from .words import Alphabet, BINARY, Window, Word, phase_tokens
 
 # failure reasons reported by the verifiers
 NO_PHASE = "no_phase"
@@ -203,6 +203,16 @@ class LanguageSource(Protocol):
 
     def sample_windows(self, radius: int) -> list[tuple[str, Window]]: ...
 
+    def level_words(
+        self, span: int, radius: int
+    ) -> tuple[list[str], tuple[bytes, ...], list[tuple]]:
+        """Labels of the sampled windows; the letter images of some sigma**d,
+        whose length divides the span; and the sampled windows, then words
+        whose 2R-factors are the 2R-blocks, each as (level letters, bilateral
+        index of their image's first letter, bilateral bounds [lo, hi) of
+        the span tiled), the word being the image of its level letters."""
+        ...
+
 
 class SubstitutionSource:
     """Windows and blocks of the minimal system of a primitive substitution."""
@@ -224,20 +234,60 @@ class SubstitutionSource:
             for seed in system_seeds(sub)
         ]
 
+    def level_words(self, span: int, radius: int):
+        """At the largest d with r**d dividing the span, for length r: the
+        sampled windows and the covering words sigma**m(ab) of the 2R-blocks
+        are sigma**d of level words."""
+        sub, d = self.substitution, 0
+        while span % sub.length ** (d + 1) == 0:
+            d += 1
+        size = sub.length**d
+        level_radius = -(-radius // size)
+        labels, words = [], []
+        # The window of a seed (a, b, p) is sigma**d of the window of the point
+        # z = sigma**e(x), e = -d mod p: z is fixed by sigma**p, its center
+        # letters are the last of sigma**e(a) and the first of sigma**e(b), and
+        # sigma**d(z) = sigma**(d+e)(x) = x.
+        for seed in system_seeds(sub):
+            last, first = sub._boundary_maps(-d % seed.period)
+            level = Seed(last[seed.left], first[seed.right], seed.period)
+            win = sub.periodic_window(level, level_radius)
+            # refuse the radii at which the seed's own window is refused
+            sub._check_growth(seed.period, radius, DEFAULT_MAX_LEN)
+            labels.append(f"seed {seed}")
+            words.append((win.word.letters, -level_radius * size, -radius, radius))
+        for level in _covering_words(sub, 2 * radius, d):  # seeds checked primitivity
+            words.append((level, 0, 0, len(level) * size))
+        return labels, sub._iterate(d), words
+
 
 @dataclass
 class ExplicitSource:
-    """Hand-supplied windows and block sets for systems without a substitution."""
+    """Hand-supplied windows and block sets for systems without a substitution;
+    ``blocks_by_length[n]`` holds blocks of length n only."""
 
     alphabet: Alphabet
     windows: tuple[Window, ...]
     blocks_by_length: Mapping[int, frozenset[Word]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for n, blocks in self.blocks_by_length.items():
+            if any(len(b) != n for b in blocks):
+                raise DomainError(f"blocks listed under length {n} must have that length")
 
     def blocks(self, n: int) -> frozenset[Word] | None:
         return self.blocks_by_length.get(n)
 
     def sample_windows(self, radius: int) -> list[tuple[str, Window]]:
         return [(f"window[{i}]", w) for i, w in enumerate(self.windows)]
+
+    def level_words(self, span: int, radius: int):
+        """Identity images: the windows, then each 2R-block as its own word."""
+        samples = self.sample_windows(radius)
+        words = [(w.word.letters, w.start, w.start, w.stop) for _, w in samples]
+        words += [(b.letters, 0, 0, len(b)) for b in sorted(self.blocks(2 * radius) or ())]
+        images = tuple(bytes((a,)) for a in range(self.alphabet.size))
+        return [label for label, _ in samples], images, words
 
 
 def as_source(lang) -> LanguageSource:
@@ -437,74 +487,56 @@ def _candidates(kind: _Kind, rows: list[list[bytes]], blocks: set[bytes]) -> set
     return out
 
 
-# -- tilers ---------------------------------------------------------------
-
-
-class _Slices:
-    """Tiles of whole windows: every span-slice at every phase, interned
-    once; a certificate maps tile ids to codes through one table."""
-
-    def __init__(self, span: int, windows: list[Window]) -> None:
-        self.windows = windows
-        self.lengths = [len(win) for win in windows]
-        self.ids: dict[bytes, int] = {}
-        self.phases = [tile_phases(win, span, self.ids) for win in windows]
-
-    def letters(self, w: int) -> bytes:
-        return self.windows[w].word.letters
-
-    def tiles(self, w: int) -> list[list[bytes]]:
-        tiles = list(self.ids)
-        return [[tiles[i] for i in row] for _, _, row in self.phases[w]]
-
-    def coder(self, cert):
-        """Rows of tile codes of word w, as (phase, start, row) at every phase."""
-        codes = _codes(cert)
-        table = [codes.get(t, 0) for t in self.ids]
-        return lambda w: [
-            (j, t0, [table[i] for i in row]) for j, t0, row in self.phases[w]
-        ]
+# -- the tiler -------------------------------------------------------------
 
 
 class _Levels:
-    """Tiles of words given as sigma**d of level words, D = r**d dividing
-    the span c*D.  The tile at bilateral index t0 is the image of the level
-    (c+1)-block at the level position of t0, read from offset t0 mod D; the
-    last block of a level word is padded with letter 0, which the last
-    tile, at offset 0, never reads.  Each word is the row of its level-block
-    keys, indices in one dict, so a tile is one (offset, key) pair and no
-    slice is hashed per window.
+    """Tiles of words given as sigma**d of level words, from the letter
+    images of sigma**d, of a length ``size`` dividing the span c*size.  The
+    tile at bilateral index t0 is the image of the level (c+1)-block at the
+    level position of t0, read from offset t0 mod size; the last block of a
+    level word is padded with letter 0, which the last tile, at offset 0,
+    never reads.  At size 1 the images are the identity, and a tile is its
+    own level c-block.  Each word is the row of its level-block keys,
+    indices in one dict, so a tile is one (offset, key) pair and no slice
+    is hashed per window.
 
     A certificate block sits at offset o of a tile only where it occurs at
     o in a key's image, so ``bytes.find`` over the images gives one code
     table per offset, and a phase whose offset holds no certificate tile
     is all code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it
-    is skipped.  ``words`` lists (level letters, bilateral index of their
-    image's first letter, bilateral bounds [lo, hi) of the tiled span)."""
+    is skipped.  ``words`` are as ``LanguageSource.level_words`` gives them."""
 
-    def __init__(self, sub: Substitution, span: int, d: int, words: list[tuple]):
-        self.span, self.size = span, sub.length**d
+    def __init__(self, images: tuple[bytes, ...], span: int, words: list[tuple]):
+        self.span, self.size = span, len(images[0])
         self.c = c = span // self.size
+        width = c + (self.size > 1)
         index: dict[bytes, int] = {}
         self.words = []
         for level, base, lo, hi in words:
             padded = level + b"\0"
             keys = [
-                index.setdefault(padded[q : q + c + 1], len(index))
+                index.setdefault(padded[q : q + width], len(index))
                 for q in range(len(level) - c + 1)
             ]
             self.words.append((level, keys, base, lo, hi))
         self.lengths = [hi - lo for *_, lo, hi in words]
-        self.letter_images = images = sub._iterate(d)
-        self.images = [b"".join(images[a] for a in block) for block in index]
+        self.letter_images = images
+        self.images = [self._expand(key) for key in index]
+
+    def _expand(self, level: bytes) -> bytes:
+        if self.size == 1:
+            return level
+        return b"".join(self.letter_images[a] for a in level)
 
     def letters(self, w: int) -> bytes:
         level, _, base, lo, hi = self.words[w]
-        return b"".join(self.letter_images[a] for a in level)[lo - base : hi - base]
+        return self._expand(level)[lo - base : hi - base]
 
     def _phases(self, w: int, js):
-        """(phase, start, offset, keys) of word w at the phases js; a word
-        holds at least 2R >= 6 spans, so every phase has 5 tiles or more."""
+        """(phase, start, offset, keys) of word w at the phases js.  A phase
+        of fewer than 3 tiles reaches only depth 0 in ``_evaluate``, and
+        ``_candidates`` skips it."""
         _, keys, base, lo, hi = self.words[w]
         span, size, c = self.span, self.size, self.c
         for j in js:
@@ -540,45 +572,6 @@ class _Levels:
         ]
 
 
-def _tiler(source: LanguageSource, span: int, radius: int):
-    """Labels of the sampled windows, then a tiler over those windows and
-    the covering words of the 2R-blocks, in that order: a level view at the
-    largest d with r**d dividing the span for a substitution of length r,
-    else span-slices."""
-    n, d = 2 * radius, 0
-    if isinstance(source, SubstitutionSource):
-        r = source.substitution.length
-        while span % r ** (d + 1) == 0:
-            d += 1
-    if d == 0:
-        samples = source.sample_windows(radius)
-        if isinstance(source, SubstitutionSource):
-            words = source.substitution.covering_words(n)
-        else:  # each block covers itself; other lengths are checked alone
-            words = source.blocks(n) or ()
-        windows = [win for _, win in samples] + [Window(w, 0) for w in words]
-        return [label for label, _ in samples], _Slices(span, windows)
-    # The window of a seed (a, b, p) is sigma**d of the window of the point
-    # z = sigma**e(x), e = -d mod p: z is fixed by sigma**p, its center
-    # letters are the last of sigma**e(a) and the first of sigma**e(b), and
-    # sigma**d(z) = sigma**(d+e)(x) = x.
-    sub = source.substitution
-    size = sub.length**d
-    level_radius = -(-radius // size)
-    labels, words = [], []
-    for seed in system_seeds(sub):
-        last, first = sub._boundary_maps(-d % seed.period)
-        level = Seed(last[seed.left], first[seed.right], seed.period)
-        win = sub.periodic_window(level, level_radius)
-        # refuse the radii at which the seed's own window is refused
-        sub._check_growth(seed.period, radius, DEFAULT_MAX_LEN)
-        labels.append(f"seed {seed}")
-        words.append((win.word.letters, -level_radius * size, -radius, radius))
-    for level in _covering_words(sub, n, d):  # system_seeds checked primitivity
-        words.append((level, 0, 0, len(level) * size))
-    return labels, _Levels(sub, span, d, words)
-
-
 # -- verification --------------------------------------------------------
 
 
@@ -588,7 +581,8 @@ class _Checker:
 
     def __init__(self, kind: _Kind, source: LanguageSource, span: int, radius: int):
         self.kind, self.source, self.span, self.radius = kind, source, span, radius
-        self.labels, self.tiler = _tiler(source, span, radius)
+        self.labels, images, words = source.level_words(span, radius)
+        self.tiler = _Levels(images, span, words)
 
     def verdict(self, cert) -> ParseVerdict:
         kind, radius = self.kind, self.radius
@@ -619,9 +613,6 @@ class _Checker:
         suspects = set()
         for w in range(len(self.labels), len(tiler.lengths)):
             windows = tiler.lengths[w] - n + 1
-            if windows != 1 and not isinstance(self.source, SubstitutionSource):
-                suspects.add(tiler.letters(w))
-                continue
             steps = {0: [0, 0], windows: [0, 0]}  # cut -> changes of (total, dirty)
             for j, _, row in rows(w):
                 for p, q, letters in _segments(kind, row):

@@ -216,21 +216,19 @@ class Window:
         return f"Window({self.text!r})"
 
 
-def tile_phases(
-    win: Window, span: int, ids: dict[bytes, int]
-) -> list[tuple[int, int, list[int]]]:
-    """Cut a window into span-tiles at every bilateral phase.
+def phase_tokens(
+    win: Window, span: int, index: dict[bytes, int]
+) -> list[tuple[int, int, list]]:
+    """Cut a window into span-tiles at every bilateral phase and map each
+    tile through ``index``; a tile missing from it maps to None.
 
-    Returns (phase, start, row) for each residue j in [0, span) whose
+    Returns (phase, start, tokens) for each residue j in [0, span) whose
     aligned run holds at least 3 full tiles, in ascending j: ``start`` is
-    the bilateral index of the first tile and ``row`` lists tile ids.  A
-    tile's id is its insertion index in ``ids``; unseen tiles are added, so
-    one dict can be shared by many windows and ``[table[i] for i in row]``
-    maps a row to tokens through one lookup table over ``ids``.
+    the bilateral index of the first tile.
     """
     data = win.word.letters
     lo, hi = win.start, win.stop
-    intern = ids.setdefault
+    get = index.get
     out = []
     for j in range(span):
         t0 = lo + (j - lo) % span
@@ -238,23 +236,9 @@ def tile_phases(
         if count < 3:
             continue
         off = t0 - lo
-        row = [
-            intern(data[i : i + span], len(ids))
-            for i in range(off, off + count * span, span)
-        ]
+        row = [get(data[i : i + span]) for i in range(off, off + count * span, span)]
         out.append((j, t0, row))
     return out
-
-
-def phase_tokens(
-    win: Window, span: int, index: dict[bytes, int]
-) -> list[tuple[int, int, list]]:
-    """``tile_phases`` with each tile mapped through ``index``; a tile
-    missing from it maps to None."""
-    ids: dict[bytes, int] = {}
-    phases = tile_phases(win, span, ids)
-    table = [index.get(t) for t in ids]
-    return [(j, t0, [table[i] for i in row]) for j, t0, row in phases]
 
 
 def parse_window(text: str, alphabet: Alphabet) -> Window:

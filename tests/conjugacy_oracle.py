@@ -5,7 +5,8 @@ These are the block-by-block verifiers and exhaustive searches that
 candidates.  Every sampled window and every block of L_{2R} is parsed on its
 own, and the searches try every block tuple in lexicographic order, so they
 are slow but independent of the fast paths they check.  ``candidates`` is
-the pairwise candidate loop that the searches' single-tile pass replaced.
+the pairwise candidate loop that the searches' single-tile pass replaced,
+and ``Slices`` the span-slice tiler that the level view replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from morsetoeplitz.conjugacy import (
     ParseVerdict,
     PhaseParse,
     ToeplitzCertificate,
+    _codes,
     as_source,
 )
 from morsetoeplitz.errors import CapacityError, RangeError
@@ -313,3 +315,59 @@ def candidates(kind, rows: list[list[bytes]], blocks: set[bytes]) -> set:
                 else:
                     out.update(product(*(blocks if b is None else [b] for b in slots)))
     return out
+
+
+def tile_phases(
+    win: Window, span: int, ids: dict[bytes, int]
+) -> list[tuple[int, int, list[int]]]:
+    """Cut a window into span-tiles at every bilateral phase.
+
+    Returns (phase, start, row) for each residue j in [0, span) whose
+    aligned run holds at least 3 full tiles, in ascending j: ``start`` is
+    the bilateral index of the first tile and ``row`` lists tile ids.  A
+    tile's id is its insertion index in ``ids``; unseen tiles are added, so
+    one dict can be shared by many windows and ``[table[i] for i in row]``
+    maps a row to tokens through one lookup table over ``ids``.
+    """
+    data = win.word.letters
+    lo, hi = win.start, win.stop
+    intern = ids.setdefault
+    out = []
+    for j in range(span):
+        t0 = lo + (j - lo) % span
+        count = (hi - t0) // span
+        if count < 3:
+            continue
+        off = t0 - lo
+        row = [
+            intern(data[i : i + span], len(ids))
+            for i in range(off, off + count * span, span)
+        ]
+        out.append((j, t0, row))
+    return out
+
+
+class Slices:
+    """Tiles of whole windows: every span-slice at every phase, interned
+    once; a certificate maps tile ids to codes through one table."""
+
+    def __init__(self, span: int, windows: list[Window]) -> None:
+        self.windows = windows
+        self.lengths = [len(win) for win in windows]
+        self.ids: dict[bytes, int] = {}
+        self.phases = [tile_phases(win, span, self.ids) for win in windows]
+
+    def letters(self, w: int) -> bytes:
+        return self.windows[w].word.letters
+
+    def tiles(self, w: int) -> list[list[bytes]]:
+        tiles = list(self.ids)
+        return [[tiles[i] for i in row] for _, _, row in self.phases[w]]
+
+    def coder(self, cert):
+        """Rows of tile codes of word w, as (phase, start, row) at every phase."""
+        codes = _codes(cert)
+        table = [codes.get(t, 0) for t in self.ids]
+        return lambda w: [
+            (j, t0, [table[i] for i in row]) for j, t0, row in self.phases[w]
+        ]

@@ -533,6 +533,11 @@ class TestSources:
         assert source.blocks(2) == blocks
         assert source.blocks(3) is None
 
+    def test_explicit_blocks_of_another_length_are_refused(self):
+        blocks = frozenset({BINARY.word("01"), BINARY.word("0110")})
+        with pytest.raises(DomainError, match="listed under length 2"):
+            ExplicitSource(BINARY, (), {2: blocks})
+
     def test_junk_is_rejected(self):
         with pytest.raises(DomainError):
             as_source(42)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import conjugacy_oracle as oracle
-from morsetoeplitz import conjugacy, words
+from morsetoeplitz import conjugacy
 from morsetoeplitz import (
     BINARY,
     MORSE,
@@ -29,12 +29,10 @@ from morsetoeplitz.conjugacy import (
     SubstitutionSource,
     _Levels,
     _MORSE,
-    _Slices,
     _TOEPLITZ,
     _candidates,
-    _tiler,
 )
-from morsetoeplitz.words import Window
+from morsetoeplitz.words import Window, phase_tokens
 
 THREE = parse_substitution("0->12;1->02;2->10")
 
@@ -303,10 +301,10 @@ def level_certificates(sub, k):
     pairs = []
     if sub.alphabet.size == 2:
         for base in (MORSE, TOEPLITZ):
-            images = base.power(k).images
-            pairs.append([Word(sub.alphabet, im.letters) for im in images])
+            pairs.append([Word(sub.alphabet, im) for im in base._iterate(k)])
     blocks = sorted(sub.language(span))
-    pairs += [blocks[:2], blocks[1:3], [blocks[-1], blocks[0]]]
+    # two letters at k = 0 hold no third block
+    pairs += [p for p in (blocks[:2], blocks[1:3], [blocks[-1], blocks[0]]) if len(p) == 2]
     certs = []
     for c0, c1 in pairs:
         certs.append(ToeplitzCertificate(k, c0, c1))
@@ -327,41 +325,56 @@ def test_level_verdicts_agree(name, k):
             assert_same_verdict(kind, sub, cert, radius)
 
 
-def sliced(sub, span, radius):
-    """The span-slice tiler over the sampled windows and covering words."""
-    source = SubstitutionSource(sub)
-    windows = [win for _, win in source.sample_windows(radius)]
-    windows += [Window(w, 0) for w in sub.covering_words(2 * radius)]
-    return _Slices(span, windows)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", LEVEL_SYSTEMS)
-def test_level_rows_match_sliced_rows(name, k):
-    """Each word, its tiles and every phase kept for a certificate agree
-    with the ``tile_phases`` rows mapped through ``_codes``; every phase
-    skipped holds no certificate tile."""
-    sub, span = LEVEL_SYSTEMS[name], 1 << k
-    for radius in (3 * span + 1, 4 * span, 32 * span):
-        labels, level = _tiler(SubstitutionSource(sub), span, radius)
-        if not isinstance(level, _Levels):
-            assert span % sub.length
-            continue
-        slices = sliced(sub, span, radius)
-        assert level.lengths == slices.lengths
+def assert_same_rows(source, span, radius, covers, certs):
+    """Each word of the level view, its tiles and every phase kept for a
+    certificate agree with the oracle ``Slices`` rows of the sampled
+    windows and the words ``covers``, mapped through ``_codes``; every
+    phase skipped holds no certificate tile, and every phase ``Slices``
+    leaves out holds fewer than 3 tiles."""
+    labels, images, words = source.level_words(span, radius)
+    level = _Levels(images, span, words)
+    samples = source.sample_windows(radius)
+    assert labels == [label for label, _ in samples]
+    windows = [win for _, win in samples] + [Window(w, 0) for w in covers]
+    slices = oracle.Slices(span, windows)
+    assert level.lengths == slices.lengths
+    for w in range(len(slices.lengths)):
+        assert level.letters(w) == slices.letters(w)
+        assert [row for row in level.tiles(w) if len(row) >= 3] == slices.tiles(w)
+    for cert in certs:
+        kept, every = level.coder(cert), slices.coder(cert)
         for w in range(len(slices.lengths)):
-            assert level.letters(w) == slices.letters(w)
-            assert level.tiles(w) == slices.tiles(w)
-        for cert in level_certificates(sub, k):
-            kept, every = level.coder(cert), slices.coder(cert)
-            for w in range(len(slices.lengths)):
-                rows = {j: (t0, list(row)) for j, t0, row in kept(w)}
-                for j, t0, row in every(w):
-                    if j in rows:
-                        assert rows.pop(j) == (t0, row)
-                    else:
-                        assert not any(row), (cert, w, j)
-                assert not rows
+            rows = {j: (t0, list(row)) for j, t0, row in kept(w)}
+            for j, t0, row in every(w):
+                if j in rows:
+                    assert rows.pop(j) == (t0, row)
+                else:
+                    assert not any(row), (cert, w, j)
+            assert all(len(row) < 3 for _, row in rows.values()), (cert, w)
+
+
+# the level systems, and "three", read at d = 0 at every k
+ROW_SYSTEMS = {"three": THREE, **LEVEL_SYSTEMS}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", ROW_SYSTEMS)
+def test_level_rows_match_sliced_rows(name, k):
+    sub, span = ROW_SYSTEMS[name], 1 << k
+    certs = level_certificates(sub, k)
+    for radius in (3 * span + 1, 4 * span, 32 * span):
+        covers = sub.covering_words(2 * radius)
+        assert_same_rows(SubstitutionSource(sub), span, radius, covers, certs)
+
+
+@pytest.mark.parametrize("case", range(len(EXPLICIT_CASES)))
+def test_explicit_rows_match_sliced_rows(case):
+    """Explicit windows, some shorter than their radius (``110110`` at span 2
+    has a phase of 2 tiles), and explicit blocks, each its own word."""
+    _, source, cert, radius = EXPLICIT_CASES[case]
+    covers = sorted(source.blocks(2 * radius) or ())
+    certs = [cert, *single_letter_mutations(cert)]
+    assert_same_rows(source, cert.span, radius, covers, certs)
 
 
 def no_pattern(word, max_len=None):
@@ -383,7 +396,7 @@ def test_candidates_agree_with_the_pairwise_loop(name):
     for k in range(5):
         span = 1 << k
         _, window = SubstitutionSource(sub).sample_windows(32 * span)[0]
-        rows = _Slices(span, [window]).tiles(0)
+        rows = oracle.Slices(span, [window]).tiles(0)
         blocks = {b.letters for b in sub.language(span)}
         for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
             want = oracle.candidates(kind, rows, blocks)
@@ -400,7 +413,7 @@ def test_candidates_agree_on_explicit_windows(k):
     periodic.append("01100000" * 4)  # the gap tile 0000 is no Morse block
     for text in [*flipped_morse_windows(), *periodic]:
         window = Window(BINARY.word(text), 16)
-        rows = _Slices(span, [window]).tiles(0)
+        rows = oracle.Slices(span, [window]).tiles(0)
         for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
             want = oracle.candidates(kind, rows, blocks)
             assert _candidates(kind, rows, blocks) == want
@@ -420,14 +433,17 @@ def test_level_view_refuses_what_the_words_would():
 
 
 def test_morse_identity_slices_no_word(monkeypatch):
-    """At a level d >= 1 no sampled window or covering word is cut into
-    span-slices."""
+    """Identity certificates of Morse and Toeplitz pass every 2R-block by
+    its run of certificate tiles: no window is cut into span-slices."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return words.tile_phases(*args)
+        return phase_tokens(*args)
 
-    monkeypatch.setattr(conjugacy, "tile_phases", counted)
-    assert verify_morse_certificate(MORSE, identity("morse", MORSE, 4)).accepted
+    monkeypatch.setattr(conjugacy, "phase_tokens", counted)
+    for k in (1, 2, 3, 4):
+        assert verify_morse_certificate(MORSE, identity("morse", MORSE, k)).accepted
+        cert = identity("toeplitz", TOEPLITZ, k)
+        assert verify_toeplitz_certificate(TOEPLITZ, cert).accepted
     assert calls == []
