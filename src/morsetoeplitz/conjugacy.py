@@ -206,11 +206,11 @@ class LanguageSource(Protocol):
     def level_words(
         self, span: int, radius: int
     ) -> tuple[list[str], tuple[bytes, ...], list[tuple]]:
-        """Labels of the sampled windows; the letter images of some sigma**d,
-        whose length divides the span; and the sampled windows, then words
-        whose 2R-factors are the 2R-blocks, each as (level letters, bilateral
-        index of their image's first letter, bilateral bounds [lo, hi) of
-        the span tiled), the word being the image of its level letters."""
+        """Labels of the sampled windows, the letter images of a sigma**d
+        whose length divides the span, and the words to tile: the sampled
+        windows, then words whose 2R-factors are the 2R-blocks.  A word is
+        (level letters, bilateral index of their image's first letter,
+        bilateral bounds [lo, hi) of the span tiled)."""
         ...
 
 
@@ -273,7 +273,7 @@ class ExplicitSource:
     def __post_init__(self) -> None:
         for n, blocks in self.blocks_by_length.items():
             if any(len(b) != n for b in blocks):
-                raise DomainError(f"blocks listed under length {n} must have that length")
+                raise DomainError(f"a block listed under length {n} has another")
 
     def blocks(self, n: int) -> frozenset[Word] | None:
         return self.blocks_by_length.get(n)
@@ -285,7 +285,8 @@ class ExplicitSource:
         """Identity images: the windows, then each 2R-block as its own word."""
         samples = self.sample_windows(radius)
         words = [(w.word.letters, w.start, w.start, w.stop) for _, w in samples]
-        words += [(b.letters, 0, 0, len(b)) for b in sorted(self.blocks(2 * radius) or ())]
+        blocks = sorted(self.blocks(2 * radius) or ())
+        words += [(b.letters, 0, 0, len(b)) for b in blocks]
         images = tuple(bytes((a,)) for a in range(self.alphabet.size))
         return [label for label, _ in samples], images, words
 

@@ -303,8 +303,8 @@ def level_certificates(sub, k):
         for base in (MORSE, TOEPLITZ):
             pairs.append([Word(sub.alphabet, im) for im in base._iterate(k)])
     blocks = sorted(sub.language(span))
-    # two letters at k = 0 hold no third block
-    pairs += [p for p in (blocks[:2], blocks[1:3], [blocks[-1], blocks[0]]) if len(p) == 2]
+    least = (blocks[:2], blocks[1:3], [blocks[-1], blocks[0]])
+    pairs += [p for p in least if len(p) == 2]  # two letters at k = 0: no third
     certs = []
     for c0, c1 in pairs:
         certs.append(ToeplitzCertificate(k, c0, c1))
