@@ -353,7 +353,8 @@ def assert_same_rows(source, span, radius, covers, certs):
             assert all(len(row) < 3 for _, row in rows.values()), (cert, w)
 
 
-# the level systems, and "three", read at d = 0 at every k
+# the level systems and "three"; every system is read at d = 0 at k = 0, and
+# the r = 4 systems at k = 1
 ROW_SYSTEMS = {"three": THREE, **LEVEL_SYSTEMS}
 
 
