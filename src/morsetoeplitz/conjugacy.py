@@ -71,6 +71,7 @@ from .substitution import (
     Substitution,
     _covering_words,
     _image,
+    _is_factor,
     system_seeds,
 )
 from .words import Alphabet, BINARY, Window, Word, phase_tokens
@@ -699,24 +700,29 @@ def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
         raise RangeError(f"verdict has no phase entry {index}") from None
     target = kind.target
     letters = entry.tokens.letters.translate(_PARITY)
-    out = _image(target._iterate(k), letters)
+    images = target._iterate(k)
+    out = _image(images, letters)
     origin = min(max(-entry.start, 0), len(out))
-    window = Window(Word(target.alphabet, out), origin)
-    # a (2**k + 2)-factor of the image lies in the image of at most three
-    # tokens, and the target maps its language into itself: when every
-    # 3-factor of the tokens (all of them, if shorter) is in the language,
-    # so is every factor of the image, and language(2**k + 2) is not built
-    n = min(len(letters), 3)
-    if n and Word(target.alphabet, letters).factors(n) <= target.language(n):
-        return window
-    depth = (1 << k) + 2
-    good = target.language(depth)
-    for piece in window.word.factors(min(depth, len(out))):
-        if piece not in good and len(piece) == depth:
-            raise ConsistencyError(
-                f"recoded block {piece.text!r} is not a {target.spec()} factor"
-            )
-    return window
+    # a (2**k + 2)-piece of the image starts in the image of some token a:
+    # it lies in sigma**k(ab) for the next token b, or it is
+    # last(sigma**k(a)) sigma**k(b) first(sigma**k(c)); the target maps its
+    # language into itself, so only pairs and triples outside it are read
+    span = 1 << k
+    for width, cuts in ((2, range(span - 1)), (3, (span - 1,))):
+        ends = range(len(letters) - width + 1)
+        for block in sorted({letters[i : i + width] for i in ends}):
+            if _is_factor(target, block):
+                continue
+            # a piece past the factor test's cap is refused, not rejected
+            target._check_power(k + 1, DEFAULT_MAX_LEN)
+            x = b"".join(images[a] for a in block)
+            for piece in (x[o : o + span + 2] for o in cuts):
+                if not _is_factor(target, piece):
+                    text = Word(target.alphabet, piece).text
+                    raise ConsistencyError(
+                        f"recoded block {text!r} is not a {target.spec()} factor"
+                    )
+    return Window(Word(target.alphabet, out), origin)
 
 
 def recode_toeplitz(

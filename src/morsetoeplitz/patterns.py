@@ -15,11 +15,11 @@ binary words of length 12, 24 avoid overlaps without being Morse factors
 and 10 avoid even squares without being Toeplitz factors.
 
 Witnesses are reported deterministically: smallest start, then smallest
-half length.  A binary word goes first to ``substitution._is_factor``: a
-word it proves to be a Morse factor has no overlap, and one it proves to be
-a Toeplitz factor, after a renaming that makes the marked letter 0, has no
-even square.  That proof takes time linear in the word length.  Every other
-word runs one bit-parallel sweep over the half length h.  The word is
+half length.  A word goes first to ``substitution._is_factor``, one
+substring search in the covering words of the Morse or Toeplitz language:
+a Morse factor has no overlap, and a Toeplitz factor, after a renaming that
+makes the marked letter 0, has no even square.  Every other word runs one
+bit-parallel sweep over the half length h.  The word is
 packed into one Python int per bit of the letter code, and from these one
 int E_h whose bit i says w[i] == w[i + h].  An overlap of half h at i is
 h + 1 consecutive ones of E_h from bit i; an even square is h ones there

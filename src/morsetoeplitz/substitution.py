@@ -139,24 +139,10 @@ class Substitution:
         return tuple(im.letters for im in self.images)
 
     @functools.cached_property
-    def _tile_codes(self) -> bytes | None:
-        """Table from the base-s code of an r-tile to the letter with that
-        image, 255 for no letter; None unless the images are distinct and
-        every code fits a byte."""
-        size, r = self.alphabet.size, self.length
-        if size**r > 256 or not self.is_injective():
-            return None
-        table = bytearray(b"\xff" * 256)
-        for a, im in enumerate(self._letters):
-            table[functools.reduce(lambda c, x: c * size + x, im, 0)] = a
-        return bytes(table)
-
-    @functools.cached_property
-    def _short_cover(self) -> tuple[bytes, ...]:
-        """The covering words of ``language(_SHORT)``: for a primitive
-        substitution, a word of at most ``_SHORT`` letters is in the
-        language exactly when it occurs in one of them."""
-        return _covering_words(self, _SHORT)
+    def _covers(self) -> dict[int, bytes]:
+        """By m, the covering words of r**m joined by byte 255, filled by
+        ``_is_factor``."""
+        return {}
 
     # -- periodic points --------------------------------------------------
 
@@ -387,94 +373,26 @@ def _covering_words(sub: Substitution, n: int, d: int = 0) -> tuple[bytes, ...]:
     return tuple(pimgs[u] + pimgs[v] for u, v in sorted(pairs))
 
 
-#: ``_is_factor`` gives up when more desubstituted words than this stay live.
-_LIVE_CAP = 4
-
-#: ``_is_factor`` looks words this short up in the covering words of their
-#: language: a few substring searches cost less than a level of
-#: desubstitution.  It exceeds 2r for every r with 2**r <= 256, so a longer
-#: word holds a full tile at every phase.
-_SHORT = 32
-
-
-def _tile_letters(sub: Substitution, w: bytes, p: int, count: int) -> bytes:
-    """The letters whose images are the ``count`` r-tiles of ``w`` from p on,
-    255 for a tile that is no image.
-
-    Tile i has the base-s code sum_t w[p + i*r + t] * s**(r - 1 - t).  Term
-    t over all tiles is one integer read off every r-th letter from p + t;
-    r multiply-adds sum the terms, no code passes its byte, so the integer's
-    bytes are the codes in order, and one translation maps them to letters.
-    """
-    size, r = sub.alphabet.size, sub.length
-    end = p + count * r
-    code = 0
-    for t in range(p, p + r):
-        code = code * size + int.from_bytes(w[t:end:r], "big")
-    return code.to_bytes(count, "big").translate(sub._tile_codes)
-
-
 def _is_factor(sub: Substitution, data: bytes) -> bool:
-    """True only with a proof that ``data`` is a factor of the language of
-    ``sub``; False means "not proved", not "not a factor".
+    """Whether ``data`` is a factor of the language of a primitive ``sub``.
 
-    Desubstitution, level by level.  Each live word w is cut at every phase
-    p < r into a partial head w[:p], full r-tiles and a partial tail.
-    ``_tile_letters`` maps the tiles to letters; a phase with a tile that
-    is no image dies.  The head resolves to the letters whose image ends
-    with it, the tail to those whose image starts with it; a partial tile
-    that every letter accepts is dropped.  That leaves preimages u of about
-    len(w) / r letters, one per choice of end letters, with w a factor of
-    sigma(u) whenever the dropped ends are filled by suitable letters.
-    Words of at most ``_SHORT`` letters are looked up in the covering
-    words of ``language(_SHORT)``.
-
-    Soundness: sigma maps the language into itself and, for a primitive
-    substitution, every word of the language extends on both sides by a
-    letter.  So a preimage in the language, its dropped ends filled by
-    letters that extend it, has an image in the language that holds w.
-    Recognizability (Mossé 1992) is what makes this complete in practice:
-    a long enough factor of an aperiodic system has one phase, so for the
-    Morse and Toeplitz substitutions a single preimage stays live.
-
-    Not proved at once: a non-primitive substitution, images that are not
-    distinct or whose codes pass a byte, a letter outside the alphabet, or
-    more than ``_LIVE_CAP`` live words on one level.
+    With m the least exponent such that r**m >= len(data), the covering
+    words sigma**m(ab) hold exactly the factors of length at most r**m, so
+    one substring search in them, joined by byte 255, decides.  A foreign
+    letter, byte 255 included, answers False, so no match crosses a joint.
+    False also for a non-primitive substitution, and for a word whose
+    covering words would pass ``DEFAULT_MAX_LEN``: not decided.
     """
-    size, r = sub.alphabet.size, sub.length
-    if (
-        sub._tile_codes is None
-        or data.translate(None, _LETTERS[:size])
-        or not sub._primitive
-    ):
+    r = sub.length
+    if data.translate(None, _LETTERS[: sub.alphabet.size]) or not sub._primitive:
         return False
-    imgs = sub._letters
-    live = {data}
-    while live:
-        if len(live) > _LIVE_CAP:
-            return False
-        level = set()
-        for w in live:
-            n = len(w)
-            if n <= _SHORT:
-                if any(w in x for x in sub._short_cover):
-                    return True
-                continue
-            for p in range(r):
-                count = (n - p) // r
-                core = _tile_letters(sub, w, p, count)
-                if 255 in core:
-                    continue
-                end = p + count * r
-                heads = [bytes((a,)) for a in range(size) if imgs[a].endswith(w[:p])]
-                tails = [bytes((a,)) for a in range(size) if imgs[a].startswith(w[end:])]
-                level.update(
-                    head + core + tail
-                    for head in (heads if len(heads) < size else [b""])
-                    for tail in (tails if len(tails) < size else [b""])
-                )
-        live = level
-    return False
+    m = next(m for m in itertools.count() if r**m >= len(data))
+    if r**m > DEFAULT_MAX_LEN:
+        return False
+    cover = sub._covers.get(m)
+    if cover is None:
+        cover = sub._covers[m] = b"\xff".join(_covering_words(sub, r**m))
+    return data in cover
 
 
 def _language(sub: Substitution, n: int) -> frozenset[Word]:

@@ -393,6 +393,33 @@ class TestRecoding:
             out = recode(cert, verdict)
             assert len(out.word) == len(verdict.phases[0].tokens) << k
 
+    def test_tokens_outside_the_language_recode_at_k_12(self, morse):
+        """Tokens 01110 hold 111, which is no Morse factor, yet every
+        (2**12 + 2)-piece of their image is one, so the answer is the
+        window.  The one piece that no language pair of tokens covers,
+        last(mu**12(1)) mu**12(1) first(mu**12(1)), occurs in a Morse
+        window."""
+        k = 12
+        zeros, ones = "0" * (1 << k), "1" * (1 << k)
+        cert = mcert(k, zeros, ones, zeros, ones)
+        tokens = MORSE_TOKENS.word("01110")
+        verdict = ParseVerdict(True, (PhaseParse(0, 0, tokens),), None, "morse", 64)
+        m0, m1 = (w.letters for w in morse.power(k).images)
+        assert recode_morse(cert, verdict).word.letters == m0 + m1 + m1 + m1 + m0
+        window = morse.periodic_window(Seed(0, 0, 2), 1 << 16).word.letters
+        assert m1[-1:] + m1 + m1[:1] in window
+
+    def test_pieces_past_the_factor_test_cap_are_refused(self):
+        """At k = 20 the image of 0110 is built, but its pieces of 2**20 + 2
+        letters are too long to decide: CapacityError, not a rejection."""
+        k = 20
+        cert = tcert(k, "0" * (1 << k), "1" * (1 << k))
+        verdict = ParseVerdict(
+            True, (PhaseParse(0, 0, BINARY.word("0110")),), None, "toeplitz", 64
+        )
+        with pytest.raises(CapacityError):
+            recode_toeplitz(cert, verdict)
+
     def test_token_block_check_raises_exactly_when_the_factor_check_does(self):
         """Against the postcondition as it was checked before: every
         (2**k + 2)-factor of the image in the target's language."""

@@ -1,5 +1,6 @@
 """Constant-length substitutions: parsing, periodic points, and languages."""
 
+import itertools
 import random
 import time
 
@@ -17,15 +18,20 @@ from morsetoeplitz import (
     SeedError,
     Substitution,
     BINARY,
+    MORSE,
+    TOEPLITZ,
     Alphabet,
     Word,
+    find_even_square,
+    find_overlap,
     language_brute,
     minimal_seed_period,
     parse_substitution,
     system_seeds,
 )
-from morsetoeplitz import graphs
+from morsetoeplitz import graphs, substitution
 from morsetoeplitz.substitution import (
+    DEFAULT_MAX_LEN,
     LANGUAGE_BYTES_CAP,
     _LANGUAGES,
     _LanguageCache,
@@ -502,8 +508,25 @@ class TestDesubstitute:
 
 
 class TestIsFactor:
-    """``_is_factor`` against ``language``: True must mean membership, and
-    on the Morse and Toeplitz targets it must answer True for every block."""
+    """``_is_factor`` decides membership: against ``language``, and against
+    the independent ``language_brute``."""
+
+    @pytest.mark.parametrize(
+        "spec, size, top",
+        [
+            ("0->01;1->10", 2, 14),
+            ("0->01;1->00", 2, 14),
+            ("0->12;1->02;2->10", 3, 8),
+            ("0->010011010;1->101100101", 2, 8),
+        ],
+    )
+    def test_exact_against_the_brute_force_language(self, spec, size, top):
+        sub = parse_substitution(spec)
+        for n in range(1, top + 1):
+            blocks = {w.letters for w in language_brute(sub, n)}
+            for letters in itertools.product(range(size), repeat=n):
+                data = bytes(letters)
+                assert _is_factor(sub, data) == (data in blocks), data
 
     @pytest.mark.parametrize("name", ["morse", "toeplitz"])
     def test_sound_on_every_short_binary_word(self, name, request):
@@ -516,9 +539,8 @@ class TestIsFactor:
 
     @pytest.mark.parametrize("name", ["morse", "toeplitz", "three_letter"])
     def test_sound_on_edited_factors(self, name, request):
-        """Factors with up to three letter pairs rewritten, past the lookup
-        length, so every proof desubstitutes.  In three_letter, 0->12 and
-        1->02 both end with 2, so a head 2 makes two preimages."""
+        """Factors of 33 to 300 letters with up to three letter pairs
+        rewritten, so that both answers are common."""
         sub = request.getfixturevalue(name)
         source = sub.periodic_window(Seed(0, 0, 2), 4096).word.letters
         rng = random.Random(len(name))
@@ -531,11 +553,11 @@ class TestIsFactor:
                 for _ in range(rng.randrange(4)):
                     i = rng.randrange(n - 1)
                     data[i : i + 2] = bytes(rng.randrange(sub.alphabet.size) for _ in "ab")
-                if _is_factor(sub, bytes(data)):
-                    assert bytes(data) in blocks, bytes(data)
-                    proved += 1
-                else:
-                    refused += 1
+                data = bytes(data)
+                found = data in blocks
+                assert _is_factor(sub, data) == found, data
+                proved += found
+                refused += not found
         assert proved > 400 and refused > 400
 
     @pytest.mark.parametrize("name", ["morse", "toeplitz", "three_letter"])
@@ -560,5 +582,33 @@ class TestIsFactor:
         assert not _is_factor(parse_substitution("0->01;1->01;2->10"), b"0110")
         assert not _is_factor(parse_substitution("0->00;1->11"), b"\0\0")
         nine = parse_substitution("0->010011010;1->101100101")
-        assert nine._tile_codes is None
-        assert not _is_factor(nine, nine.images[0].letters)
+        assert _is_factor(nine, nine.images[0].letters)
+
+    def test_byte_255_and_words_past_the_cap(self, morse, three_letter):
+        assert not _is_factor(morse, b"\x01\xff\x00")
+        assert not _is_factor(three_letter, b"\x02\xff")
+        # mu**20(01) is a factor, but the covering words of its length
+        # would pass the cap: not decided, and nothing raised
+        m0, m1 = morse._iterate(20)
+        assert len(m0) == DEFAULT_MAX_LEN
+        assert not _is_factor(morse, m0 + m1[:1])
+        assert _is_factor(morse, m0)
+
+    def test_covering_words_are_built_once_per_power(self, monkeypatch):
+        built = []
+
+        def counted(sub, n, d=0):
+            built.append((sub.spec(), n))
+            return covering(sub, n, d)
+
+        covering = substitution._covering_words
+        monkeypatch.setattr(substitution, "_covering_words", counted)
+        for sub in (MORSE, TOEPLITZ):
+            monkeypatch.delitem(sub.__dict__, "_covers", raising=False)
+        m = MORSE.periodic_window(Seed(0, 0, 2), 4096).word.letters
+        t = TOEPLITZ.periodic_window(Seed(0, 0, 2), 4096).word.letters
+        for at in range(0, 2000, 100):
+            for n in (513, 700, 1024):
+                assert find_overlap(Word(BINARY, m[at : at + n])) is None
+                assert find_even_square(Word(BINARY, t[at : at + n])) is None
+        assert sorted(built) == [("0->01;1->00", 1024), ("0->01;1->10", 1024)]
