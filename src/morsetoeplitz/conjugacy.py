@@ -70,7 +70,6 @@ from .substitution import (
     Seed,
     Substitution,
     _covering_words,
-    _image,
     _is_factor,
     system_seeds,
 )
@@ -701,7 +700,7 @@ def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
     target = kind.target
     letters = entry.tokens.letters.translate(_PARITY)
     images = target._iterate(k)
-    out = _image(images, letters)
+    out = b"".join(images[a] for a in letters)
     origin = min(max(-entry.start, 0), len(out))
     # a (2**k + 2)-piece of the image starts in the image of some token a:
     # it lies in sigma**k(ab) for the next token b, or it is

@@ -199,10 +199,7 @@ def classify_word(
     square = find_even_square(w, 0, max_len)
     morse: bool | None = None
     toeplitz: bool | None = None
-    if len(w) == 0:
-        morse = True
-        toeplitz = True
-    elif len(w) <= factor_bound:
-        morse = w in MORSE.language(len(w))
-        toeplitz = w in TOEPLITZ.language(len(w))
+    if len(w) <= factor_bound:
+        morse = _is_factor(MORSE, w.letters)
+        toeplitz = _is_factor(TOEPLITZ, w.letters)
     return WordReport(w, overlap, square, morse, toeplitz)

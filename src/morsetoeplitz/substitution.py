@@ -27,8 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import graphs
@@ -144,6 +142,24 @@ class Substitution:
         ``_is_factor``."""
         return {}
 
+    @functools.cached_property
+    def _pairs(self) -> frozenset[bytes]:
+        """The 2-blocks of the first letter's image, closed under taking the
+        2-factors of images: the 2-blocks of the language when primitive."""
+        imgs = self._letters
+        w0 = imgs[0]
+        pairs = {w0[i : i + 2] for i in range(len(w0) - 1)}
+        todo = list(pairs)
+        while todo:
+            u, v = todo.pop()
+            x = imgs[u] + imgs[v]
+            for i in range(len(x) - 1):
+                uv = x[i : i + 2]
+                if uv not in pairs:
+                    pairs.add(uv)
+                    todo.append(uv)
+        return frozenset(pairs)
+
     # -- periodic points --------------------------------------------------
 
     def periodic_seeds(self, p: int) -> list[Seed]:
@@ -239,7 +255,7 @@ class Substitution:
         hold more than ``LANGUAGE_BYTES_CAP`` bytes of n-factors.
         """
         self._require_primitive(n)
-        return _LANGUAGES.get(self, n)
+        return _language(self, n)
 
     def covering_words(self, n: int) -> tuple[Word, ...]:
         """Words whose n-factors are exactly ``language(n)``.
@@ -351,26 +367,14 @@ def _image(imgs: tuple[bytes, ...], data: bytes) -> bytes:
 
 
 def _covering_words(sub: Substitution, n: int, d: int = 0) -> tuple[bytes, ...]:
-    """2-block closure, then the image of each 2-block under sigma**(m-d),
-    with m the least exponent whose letter images have length at least n:
-    the letters of the covering words of n at d = 0, and for d <= m words
-    whose d-th images are those, refused where those are."""
-    imgs = sub._letters
-    w0 = imgs[0]
-    pairs = {w0[i : i + 2] for i in range(len(w0) - 1)}
-    todo = list(pairs)
-    while todo:
-        u, v = todo.pop()
-        x = imgs[u] + imgs[v]
-        for i in range(len(x) - 1):
-            uv = x[i : i + 2]
-            if uv not in pairs:
-                pairs.add(uv)
-                todo.append(uv)
+    """The image of each 2-block under sigma**(m-d), with m the least
+    exponent whose letter images have length at least n: the letters of the
+    covering words of n at d = 0, and for d <= m words whose d-th images
+    are those, refused where those are."""
     m = next(m for m in itertools.count() if sub.length**m >= n)
     sub._check_power(m, DEFAULT_MAX_LEN)
     pimgs = sub._iterate(m - d)
-    return tuple(pimgs[u] + pimgs[v] for u, v in sorted(pairs))
+    return tuple(pimgs[u] + pimgs[v] for u, v in sorted(sub._pairs))
 
 
 def _is_factor(sub: Substitution, data: bytes) -> bool:
@@ -412,44 +416,6 @@ def _language(sub: Substitution, n: int) -> frozenset[Word]:
     starts = range(len(words[0]) // 2)
     blocks = {x[i : i + n] for x in words for i in starts}
     return frozenset(_trusted_word(sub.alphabet, b) for b in blocks)
-
-
-class _LanguageCache:
-    """Languages by (substitution, n), least recently used first.
-
-    Each entry is charged n bytes per block; once the total passes ``cap``
-    the least recently used entries are dropped.  An entry never exceeds
-    ``LANGUAGE_BYTES_CAP`` on its own, so with that cap the newest entry
-    always stays.
-    """
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self.charged = 0
-        self.entries: OrderedDict[tuple[Substitution, int], frozenset[Word]] = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-
-    def get(self, sub: Substitution, n: int) -> frozenset[Word]:
-        key = (sub, n)
-        with self._lock:
-            blocks = self.entries.get(key)
-            if blocks is not None:
-                self.entries.move_to_end(key)
-                return blocks
-        blocks = _language(sub, n)
-        with self._lock:
-            if key not in self.entries:
-                self.entries[key] = blocks
-                self.charged += n * len(blocks)
-            while self.charged > self.cap:
-                (_, m), old = self.entries.popitem(last=False)
-                self.charged -= m * len(old)
-        return blocks
-
-
-_LANGUAGES = _LanguageCache(LANGUAGE_BYTES_CAP)
 
 
 def language_brute(
@@ -503,14 +469,10 @@ def system_seeds(sub: Substitution, limit: int | None = None) -> list[Seed]:
     """
     if limit is None:
         limit = max(64, sub.alphabet.size**2)
-    lang2 = sub.language(2)
+    sub._require_primitive(2)
+    pairs = sub._pairs
     for p, left, right in sub._seed_sweep(limit):
-        good = [
-            Seed(a, b, p)
-            for a in left
-            for b in right
-            if Word(sub.alphabet, bytes((a, b))) in lang2
-        ]
+        good = [Seed(a, b, p) for a in left for b in right if bytes((a, b)) in pairs]
         if good:
             return good
     raise SeedError(f"no system seed with period <= {limit} for {sub}")

@@ -43,6 +43,7 @@ from morsetoeplitz import (
     verify_morse_certificate,
     verify_toeplitz_certificate,
 )
+from morsetoeplitz.substitution import _image
 from morsetoeplitz.words import Window
 
 
@@ -419,6 +420,18 @@ class TestRecoding:
         )
         with pytest.raises(CapacityError):
             recode_toeplitz(cert, verdict)
+
+    def test_image_joins_the_token_images(self):
+        """At k = 20 every pair and triple of 0100 is a Toeplitz factor, so
+        only the image is built: the token images joined, as the per-offset
+        substitution kernel ``_image`` builds it."""
+        k = 20
+        cert = tcert(k, "0" * (1 << k), "1" * (1 << k))
+        tokens = BINARY.word("0100")
+        verdict = ParseVerdict(True, (PhaseParse(0, -5, tokens),), None, "toeplitz", 64)
+        out = recode_toeplitz(cert, verdict)
+        assert out.origin == 5
+        assert out.word.letters == _image(TOEPLITZ._iterate(k), tokens.letters)
 
     def test_token_block_check_raises_exactly_when_the_factor_check_does(self):
         """Against the postcondition as it was checked before: every

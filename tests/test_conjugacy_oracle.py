@@ -1,7 +1,8 @@
 """Covering-word verification and derived-candidate searches against the
 block-by-block and enumerate-then-verify oracles in ``conjugacy_oracle``."""
 
-from dataclasses import replace
+import random
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from morsetoeplitz import (
     Substitution,
     ToeplitzCertificate,
     Word,
+    language_brute,
     parse_substitution,
     search_morse_certificate,
     search_toeplitz_certificate,
@@ -52,6 +54,13 @@ SYSTEMS = {
     # primitive, with letters 0 and 2 sharing the image 01
     "shared image": parse_substitution("0->01;1->02;2->01"),
 }
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_pair_closure_is_the_two_block_language(name):
+    sub = SYSTEMS[name]
+    if sub._primitive:
+        assert sub._pairs == {w.letters for w in language_brute(sub, 2)}
+
 
 KINDS = {
     "toeplitz": (
@@ -448,3 +457,68 @@ def test_morse_identity_slices_no_word(monkeypatch):
         cert = identity("toeplitz", TOEPLITZ, k)
         assert verify_toeplitz_certificate(TOEPLITZ, cert).accepted
     assert calls == []
+
+
+# -- the block-stage interval pass ------------------------------------------
+
+
+@dataclass
+class SliceSource:
+    """A source of identity images whose 2R-blocks are the factors of a few
+    long slices, tiled as words of their own: one passing sample window,
+    then every slice."""
+
+    alphabet: Alphabet
+    window: Window
+    slices: tuple[bytes, ...]
+
+    def blocks(self, n):
+        return frozenset(
+            Word(self.alphabet, s[i : i + n])
+            for s in self.slices
+            for i in range(len(s) - n + 1)
+        )
+
+    def sample_windows(self, radius):
+        return [("window", self.window)]
+
+    def level_words(self, span, radius):
+        w = self.window
+        words = [(w.word.letters, w.start, w.start, w.stop)]
+        words += [(s, 0, 0, len(s)) for s in self.slices]
+        images = tuple(bytes((a,)) for a in range(self.alphabet.size))
+        return ["window"], images, words
+
+
+def flipped_slice_cases(count, seed):
+    """Identity certificates at k <= 2 with a passing sample window, and
+    1-3 slices of 2R to 2R + 300 letters of the same system with up to 3
+    letters flipped each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind, sub = rng.choice([("morse", MORSE), ("toeplitz", TOEPLITZ)])
+        k = rng.randrange(3)
+        radius = (3 + rng.randrange(4)) << k
+        text = sub.periodic_window(Seed(0, 0, 2), 1 << 12).word.letters
+        slices = []
+        for _ in range(1 + rng.randrange(3)):
+            size = 2 * radius + rng.randrange(301)
+            at = rng.randrange(len(text) - size)
+            data = bytearray(text[at : at + size])
+            for _ in range(rng.randrange(4)):
+                data[rng.randrange(size)] ^= 1
+            slices.append(bytes(data))
+        window = sub.periodic_window(Seed(0, 0, 2), radius)
+        source = SliceSource(BINARY, window, tuple(slices))
+        yield kind, source, identity(kind, sub, k), radius
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interval_pass_agrees_with_every_window(seed):
+    """The block stage passes a 2R-window lying in exactly one pattern-free
+    run and parses the rest; the oracle parses every 2R-block and names the
+    least that fails."""
+    for case, (kind, source, cert, radius) in enumerate(flipped_slice_cases(100, seed)):
+        verdict = KINDS[kind][1](source, cert, radius)
+        assert verdict.accepted or verdict.detail.startswith("block["), case
+        assert fields(verdict) == fields(KINDS[kind][2](source, cert, radius)), case

@@ -1,8 +1,10 @@
 """Constant-length substitutions: parsing, periodic points, and languages."""
 
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 
@@ -33,8 +35,6 @@ from morsetoeplitz import graphs, substitution
 from morsetoeplitz.substitution import (
     DEFAULT_MAX_LEN,
     LANGUAGE_BYTES_CAP,
-    _LANGUAGES,
-    _LanguageCache,
     _is_factor,
 )
 from morsetoeplitz.words import Window
@@ -261,6 +261,15 @@ class TestSystemSeeds:
         assert system_seeds(sub) == [Seed(0, 1, 1), Seed(1, 0, 1)]
         assert sorted(w.text for w in sub.language(2)) == ["01", "10"]
 
+    def test_non_primitive_is_refused(self):
+        text = (
+            "language is defined for primitive substitutions only; analyze the "
+            "graph, or collapse equal images with identify_equal_images first"
+        )
+        with pytest.raises(PrimitivityError) as info:
+            system_seeds(parse_substitution("0->11;1->00"))
+        assert str(info.value) == text
+
     def test_long_least_period_in_one_sweep(self, long_period_spec):
         # one seed sweep up to p = 3540, not one sweep per period
         sub = parse_substitution(long_period_spec)
@@ -427,24 +436,10 @@ class TestLanguage:
         sub.covering_words(5)
         assert len(built) == 1
 
-    def test_cache_evicts_the_least_recently_used(self, morse, toeplitz):
-        # charged n * blocks: morse 4 -> 40, morse 8 -> 176, toeplitz 8 -> 96,
-        # morse 5 -> 60
-        cache = _LanguageCache(300)
-        first = cache.get(morse, 4)
-        cache.get(morse, 8)
-        cache.get(toeplitz, 8)
-        assert list(cache.entries) == [(morse, 8), (toeplitz, 8)]
-        assert cache.charged == 272
-        cache.get(morse, 8)
-        cache.get(morse, 5)
-        assert list(cache.entries) == [(morse, 8), (morse, 5)]
-        assert cache.charged == 236
-        again = cache.get(morse, 4)
-        assert again == first and again is not first
-        assert again == language_brute(morse, 4)
-        assert list(cache.entries) == [(morse, 8), (morse, 5), (morse, 4)]
-        assert _LANGUAGES.cap == LANGUAGE_BYTES_CAP
+    def test_languages_are_not_kept(self, morse):
+        blocks = weakref.ref(morse.language(64))
+        gc.collect()
+        assert blocks() is None
 
     def test_size_cap_admits_morse_at_4096(self, morse):
         n = 4096
