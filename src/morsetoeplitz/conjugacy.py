@@ -46,7 +46,6 @@ induced substitution on higher-block letters.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
@@ -73,7 +72,7 @@ from .substitution import (
     _is_factor,
     system_seeds,
 )
-from .words import Alphabet, BINARY, Window, Word, phase_tokens
+from .words import Alphabet, BINARY, Window, Word, _json_int, phase_tokens
 
 # failure reasons reported by the verifiers
 NO_PHASE = "no_phase"
@@ -146,7 +145,7 @@ def certificate_from_json(
 ) -> ToeplitzCertificate | MorseCertificate:
     try:
         kind = payload["kind"]
-        k = int(payload["k"])
+        k = _json_int(payload["k"])
         keys = ("C0", "C1", "C0p", "C1p")[: 4 if kind == "morse" else 2]
         blocks = [alphabet.word(str(payload[key])) for key in keys]
         if kind in ("toeplitz", "morse"):
@@ -365,12 +364,6 @@ _GAP_IDENTITY = {(1, 1): 0, (0, 0): 1, (1, 0): 2, (0, 1): 3}
 _DEPTH_REASON = (NO_PHASE, TOKEN_PATTERN, TOKEN_PATTERN, GAP_RULE)
 
 
-def _codes(cert) -> dict[bytes, int]:
-    """Tile -> bit set of the certificate blocks it equals."""
-    bits = list(enumerate(cert.blocks))
-    return {b.letters: sum(1 << i for i, c in bits if c == b) for _, b in bits}
-
-
 def _run(toks: list, i0: int, stride: int) -> list:
     """Tokens from carrier position i0 to the last carrier position."""
     return toks[i0 : i0 + (len(toks) - i0 - 1) // stride * stride + 1]
@@ -418,6 +411,13 @@ def _evaluate(kind: _Kind, cert, phases, label: str):
     if any(d < 4 for d, _ in entries):
         return TOKEN_PATTERN, None
     return None, long_entries[0] if long_entries else entries[0][1]
+
+
+def _cut(phases, span: int, start: int, stop: int):
+    """Rows of tile codes cut to the tiles inside [start, stop)."""
+    for j, t0, row in phases:
+        first, last = -(-(start - t0) // span), (stop - t0) // span
+        yield j, t0 + first * span, row[first:last]
 
 
 def _segments(kind: _Kind, toks):
@@ -608,14 +608,15 @@ class _Checker:
         exactly one segment, whose letters are free of the pattern, passes:
         its own letters are a factor of those, and 2R >= 6*span letters hold
         5 tiles at any phase, so a Morse run keeps 3 after trimming.  Every
-        other window is evaluated on its own, in sorted order.  The counts
-        change only at segment ends, so only those are visited."""
+        other window is evaluated on its own rows, cut from its word's, in
+        sorted order.  The counts change only at segment ends."""
         kind, span, n, tiler = self.kind, self.span, 2 * self.radius, self.tiler
-        suspects = set()
+        suspects = {}  # letters -> (rows of their word, start)
         for w in range(len(self.labels), len(tiler.lengths)):
             windows = tiler.lengths[w] - n + 1
             steps = {0: [0, 0], windows: [0, 0]}  # cut -> changes of (total, dirty)
-            for j, _, row in rows(w):
+            phases = rows(w)
+            for j, _, row in phases:
                 for p, q, letters in _segments(kind, row):
                     lo = max(j + (p - 1) * span + 1, 0)
                     hi = min(j + (q + 1) * span - n, windows)
@@ -631,15 +632,14 @@ class _Checker:
                 total, dirty = total + steps[s][0], dirty + steps[s][1]
                 if total != 1 or dirty:
                     data = data or tiler.letters(w)
-                    suspects.update(data[i : i + n] for i in range(s, end))
-        codes = _codes(cert)
+                    for i in range(s, end):
+                        suspects.setdefault(data[i : i + n], (phases, i))
         for data in sorted(suspects):
-            win = Window(Word(self.source.alphabet, data), len(data) // 2)
-            reason, _ = _evaluate(kind, cert, phase_tokens(win, span, codes), "")
+            phases, start = suspects[data]
+            reason, _ = _evaluate(kind, cert, _cut(phases, span, start, start + n), "")
             if reason is not None:
-                ordered = sorted(self.source.blocks(n))
-                i = bisect_left([b.letters for b in ordered], data)
-                return reason, f"block[{i}]:{ordered[i].text}"
+                i = sum(b.letters < data for b in self.source.blocks(n))
+                return reason, f"block[{i}]:{Word(self.source.alphabet, data).text}"
         return None, ""
 
 
@@ -742,14 +742,18 @@ def recode_morse(
 # -- searches -------------------------------------------------------------
 
 
-def _search(kind: _Kind, lang, kmax: int, max_span: int):
+#: Largest block length a search tries.
+_MAX_SPAN = 1 << 16
+
+
+def _search(kind: _Kind, lang, kmax: int):
     if kmax < 0:
         raise RangeError("kmax must be >= 0")
     source = as_source(lang)
     for k in range(kmax + 1):
         span = 1 << k
-        if span > max_span:
-            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
+        if span > _MAX_SPAN:
+            raise CapacityError(f"2**{k} exceeds block cap {_MAX_SPAN}")
         words = {b.letters: b for b in source.blocks(span) or ()}
         checker = _Checker(kind, source, span, 32 * span)
         if checker.labels:
@@ -765,18 +769,14 @@ def _search(kind: _Kind, lang, kmax: int, max_span: int):
     return None
 
 
-def search_toeplitz_certificate(
-    lang, kmax: int, max_span: int = 1 << 16
-) -> ToeplitzCertificate | None:
+def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
     """Least certificate in (k, C0, C1) lexicographic order, or None."""
-    return _search(_TOEPLITZ, lang, kmax, max_span)
+    return _search(_TOEPLITZ, lang, kmax)
 
 
-def search_morse_certificate(
-    lang, kmax: int, max_span: int = 1 << 16
-) -> MorseCertificate | None:
+def search_morse_certificate(lang, kmax: int) -> MorseCertificate | None:
     """Least certificate in (k, C0, C1, C0', C1') lexicographic order."""
-    return _search(_MORSE, lang, kmax, max_span)
+    return _search(_MORSE, lang, kmax)
 
 
 # -- necessary conditions -------------------------------------------------

@@ -172,8 +172,8 @@ class WordReport:
     word: Word
     overlap: PatternWitness | None
     even_square: PatternWitness | None
-    morse_factor: bool | None
-    toeplitz_factor: bool | None
+    morse_factor: bool
+    toeplitz_factor: bool
 
     @property
     def overlap_free(self) -> bool:
@@ -184,22 +184,14 @@ class WordReport:
         return self.even_square is None
 
 
-def classify_word(
-    w: Word, factor_bound: int = 16, max_len: int = DEFAULT_SCAN_CAP
-) -> WordReport:
-    """Run both scanners and, when the word is short enough, both factor tests.
+def classify_word(w: Word) -> WordReport:
+    """Run both scanners and both factor tests.
 
-    Factor membership is decided against the Morse and Toeplitz languages
-    for lengths up to ``factor_bound``; beyond that the factor fields are
-    None, meaning unchecked.  The word must be over the binary alphabet 01.
+    Factor membership in the Morse and Toeplitz languages is exact for
+    every word the scanners accept: one substring search in the covering
+    words each.  The word must be over the binary alphabet 01.
     """
     if w.alphabet.size != 2 or w.alphabet.symbols != ("0", "1"):
         raise DomainError("classify_word expects a word over the alphabet 01")
-    overlap = find_overlap(w, max_len)
-    square = find_even_square(w, 0, max_len)
-    morse: bool | None = None
-    toeplitz: bool | None = None
-    if len(w) <= factor_bound:
-        morse = _is_factor(MORSE, w.letters)
-        toeplitz = _is_factor(TOEPLITZ, w.letters)
-    return WordReport(w, overlap, square, morse, toeplitz)
+    factors = (_is_factor(sub, w.letters) for sub in (MORSE, TOEPLITZ))
+    return WordReport(w, find_overlap(w), find_even_square(w, 0), *factors)

@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import CapacityError, DomainError, RangeError
-from .words import Alphabet, BINARY, Window, Word
+from .words import Alphabet, BINARY, Window, Word, _json_int
 
 #: Cap on candidate expansions while enumerating preimages.
 DEFAULT_PREIMAGE_CAP = 1 << 22
@@ -302,8 +302,8 @@ def rule_to_json(rule: LocalRule) -> dict:
 
 def rule_from_json(payload: dict) -> LocalRule:
     try:
-        memory = int(payload["memory"])
-        anticipation = int(payload["anticipation"])
+        memory = _json_int(payload["memory"])
+        anticipation = _json_int(payload["anticipation"])
         input_alphabet = Alphabet.from_names(str(payload["input"]))
         output_alphabet = Alphabet.from_names(str(payload["output"]))
         raw_table = payload["table"]

@@ -447,35 +447,35 @@ def language_brute(
     )
 
 
-def minimal_seed_period(sub: Substitution, limit: int | None = None) -> int:
-    """Smallest p for which the substitution has an admissible seed."""
-    if limit is None:
-        limit = max(64, sub.alphabet.size**2)
-    for p, left, right in sub._seed_sweep(limit):
-        if left and right:
-            return p
-    raise SeedError(f"no admissible seed with period <= {limit}")
+def minimal_seed_period(sub: Substitution) -> int:
+    """Smallest p for which the substitution has an admissible seed.
+
+    At most n**2 for n letters: the last-letter and first-letter maps have
+    cycles of lengths c, c' <= n, and p = lcm(c, c') admits a seed.
+    """
+    sweep = sub._seed_sweep(sub.alphabet.size**2)
+    return next(p for p, left, right in sweep if left and right)
 
 
-def system_seeds(sub: Substitution, limit: int | None = None) -> list[Seed]:
+def system_seeds(sub: Substitution) -> list[Seed]:
     """Least-period seeds whose fixed points lie in the minimal system.
 
     An admissible seed (a, b) yields a point of the substitution's minimal
     set exactly when the center block ab is in the language; other seeds
-    still fix two-sided points, but of the full shift only.  One seed sweep
-    serves every period up to ``limit``: the admissible pairs of each
-    period are filtered by the 2-blocks of the language, and the first
-    period with a pair left wins.  Requires a primitive substitution.
+    still fix two-sided points, but of the full shift only.  The first
+    period with an admissible 2-block of the language wins.  It is at most
+    the number N of 2-blocks: F(ab) = (last letter of sigma(a), first letter
+    of sigma(b)) is a 2-factor of sigma(ab), so F maps 2-blocks to 2-blocks,
+    and some 2-block lies on an F-cycle of length c <= N, a seed of period
+    c.  Requires a primitive substitution.
     """
-    if limit is None:
-        limit = max(64, sub.alphabet.size**2)
     sub._require_primitive(2)
     pairs = sub._pairs
-    for p, left, right in sub._seed_sweep(limit):
-        good = [Seed(a, b, p) for a in left for b in right if bytes((a, b)) in pairs]
-        if good:
-            return good
-    raise SeedError(f"no system seed with period <= {limit} for {sub}")
+    seeds = (
+        [Seed(a, b, p) for a in left for b in right if bytes((a, b)) in pairs]
+        for p, left, right in sub._seed_sweep(len(pairs))
+    )
+    return next(filter(None, seeds))
 
 
 _RULE = re.compile(r"^(.)->(.+)$")

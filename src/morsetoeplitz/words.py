@@ -247,3 +247,10 @@ def parse_window(text: str, alphabet: Alphabet) -> Window:
         raise DomainError("a window needs exactly one '.' marking the origin")
     left, right = text.split(".")
     return Window(alphabet.word(left + right), len(left))
+
+
+def _json_int(value) -> int:
+    """``int(value)``, but a boolean or a fraction raises ValueError."""
+    if isinstance(value, bool) or isinstance(value, float) and value % 1 > 0:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)

@@ -25,12 +25,14 @@ from morsetoeplitz.conjugacy import (
     ParseVerdict,
     PhaseParse,
     ToeplitzCertificate,
-    _codes,
     as_source,
 )
 from morsetoeplitz.errors import CapacityError, RangeError
 from morsetoeplitz.patterns import find_even_square, find_overlap
 from morsetoeplitz.words import BINARY, Window, Word
+
+#: Largest block length a search tries, as in ``conjugacy``.
+MAX_SPAN = 1 << 16
 
 # nearest neighbor table: (left carrier, right carrier) -> (identity, block attr)
 _GAP_TABLE = {
@@ -228,17 +230,15 @@ def verify_morse_certificate(
     return ParseVerdict(True, tuple(entries), None, "morse", radius)
 
 
-def search_toeplitz_certificate(
-    lang, kmax: int, max_span: int = 1 << 16
-) -> ToeplitzCertificate | None:
+def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
     """Least certificate in (k, C0, C1) lexicographic order, or None."""
     if kmax < 0:
         raise RangeError("kmax must be >= 0")
     source = as_source(lang)
     for k in range(kmax + 1):
         span = 1 << k
-        if span > max_span:
-            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
+        if span > MAX_SPAN:
+            raise CapacityError(f"2**{k} exceeds block cap {MAX_SPAN}")
         radius = 32 * span
         blocks = sorted(source.blocks(span) or ())
         ref = source.sample_windows(radius)
@@ -257,17 +257,15 @@ def search_toeplitz_certificate(
     return None
 
 
-def search_morse_certificate(
-    lang, kmax: int, max_span: int = 1 << 16
-) -> MorseCertificate | None:
+def search_morse_certificate(lang, kmax: int) -> MorseCertificate | None:
     """Least certificate in (k, C0, C1, C0', C1') lexicographic order."""
     if kmax < 0:
         raise RangeError("kmax must be >= 0")
     source = as_source(lang)
     for k in range(kmax + 1):
         span = 1 << k
-        if span > max_span:
-            raise CapacityError(f"2**{k} exceeds block cap {max_span}")
+        if span > MAX_SPAN:
+            raise CapacityError(f"2**{k} exceeds block cap {MAX_SPAN}")
         radius = 32 * span
         blocks = sorted(source.blocks(span) or ())
         ref = source.sample_windows(radius)
@@ -345,6 +343,12 @@ def tile_phases(
         ]
         out.append((j, t0, row))
     return out
+
+
+def _codes(cert) -> dict[bytes, int]:
+    """Tile -> bit set of the certificate blocks it equals."""
+    bits = list(enumerate(cert.blocks))
+    return {b.letters: sum(1 << i for i, c in bits if c == b) for _, b in bits}
 
 
 class Slices:

@@ -6,9 +6,16 @@ image offset.  ``power`` and ``periodic_window`` build on it the way the
 library did before: iterate whole images, then grow the window one
 ``sigma**period`` round at a time and check the cap after each round.  They
 share no code with the kernels they check.
+
+``least_seed_period`` and ``system_seeds`` read seeds off the cycles of the
+boundary maps instead of sweeping periods: a seed (a, b, p) is admissible
+when p is a multiple of the cycle length of a under the last-letter map and
+of b under the first-letter map.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from morsetoeplitz import CapacityError
 
@@ -39,3 +46,42 @@ def periodic_window(
         if len(rw) > max_len:
             raise CapacityError(f"window growth exceeds cap {max_len}")
     return lw[-radius:] + rw[:radius]
+
+
+def cycle_lengths(step, points) -> dict:
+    """The length of the cycle of ``step`` through each point on a cycle
+    that is reached from ``points``."""
+    lengths, seen = {}, set()
+    for x in points:
+        path = []
+        while x not in seen:
+            seen.add(x)
+            path.append(x)
+            x = step(x)
+        if x in path:
+            cycle = path[path.index(x) :]
+            lengths.update(dict.fromkeys(cycle, len(cycle)))
+    return lengths
+
+
+def least_seed_period(imgs: list[bytes]) -> int:
+    """The least lcm of a cycle length of the last-letter map and one of
+    the first-letter map."""
+    letters = range(len(imgs))
+    last = cycle_lengths(lambda a: imgs[a][-1], letters).values()
+    first = cycle_lengths(lambda b: imgs[b][0], letters).values()
+    return min(lcm(c, d) for c in set(last) for d in set(first))
+
+
+def system_seeds(imgs: list[bytes], pairs) -> list[tuple[int, int, int]]:
+    """(a, b, p), sorted, for the ab on the shortest cycles reached from
+    ``pairs`` of F(ab) = (last letter of sigma(a), first letter of
+    sigma(b)), p their length.  F maps 2-blocks of the language to 2-blocks,
+    so from 2-blocks it reaches only 2-blocks."""
+
+    def step(ab):
+        return imgs[ab[0]][-1], imgs[ab[1]][0]
+
+    lengths = cycle_lengths(step, pairs)
+    p = min(lengths.values())
+    return sorted((a, b, p) for (a, b), c in lengths.items() if c == p)

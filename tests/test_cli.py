@@ -226,7 +226,15 @@ class TestImage:
         assert_input_error(result)
 
     @pytest.mark.parametrize(
-        "field", ['"memory": "x"', '"memory": NaN', '"memory": 1e400', '"domain": 5']
+        "field",
+        [
+            '"memory": "x"',
+            '"memory": NaN',
+            '"memory": 1e400',
+            '"domain": 5',
+            '"memory": 0.5',
+            '"anticipation": true',
+        ],
     )
     def test_malformed_rule_fields(self, runner, field):
         # json.loads keeps the last value of a repeated key.
@@ -344,8 +352,10 @@ class TestVerifyCert:
         [
             ("1e400", "error: malformed certificate payload: "),
             ("100000000", "error: certificate blocks must have length 2**k = 2**"),
+            ("0.9", "error: malformed certificate payload: 0.9 is not an integer\n"),
+            ("true", "error: malformed certificate payload: True is not an integer\n"),
         ],
-        ids=["infinite", "huge"],
+        ids=["infinite", "huge", "fraction", "boolean"],
     )
     def test_unusable_scale(self, runner, k, message):
         cert = f'{{"kind": "toeplitz", "k": {k}, "C0": "0", "C1": "1"}}'

@@ -1,6 +1,7 @@
 """Certificate verification, recoding, searches, and induced substitutions."""
 
 import random
+import time
 
 import pytest
 
@@ -111,6 +112,17 @@ class TestCertificates:
         payload = {"kind": "toeplitz", "k": k, "C0": "0", "C1": "1"}
         with pytest.raises(DomainError, match="malformed certificate payload"):
             certificate_from_json(payload, BINARY)
+
+    @pytest.mark.parametrize("k", [0.9, 1.5, True, False])
+    def test_json_rejects_scales_int_would_truncate(self, k):
+        payload = {"kind": "toeplitz", "k": k, "C0": "0", "C1": "1"}
+        with pytest.raises(DomainError) as err:
+            certificate_from_json(payload, BINARY)
+        assert str(err.value) == f"malformed certificate payload: {k!r} is not an integer"
+
+    def test_json_takes_a_whole_float_scale(self):
+        payload = {"kind": "toeplitz", "k": 1.0, "C0": "01", "C1": "00"}
+        assert certificate_from_json(payload, BINARY) == tcert(1, "01", "00")
 
     def test_huge_scale_is_checked_without_building_the_span(self):
         payload = {"kind": "toeplitz", "k": 10**8, "C0": "0", "C1": "1"}
@@ -518,8 +530,14 @@ class TestSearches:
             search_morse_certificate(morse, -1)
 
     def test_span_cap(self, morse):
-        with pytest.raises(CapacityError):
-            search_toeplitz_certificate(morse, 3, max_span=4)
+        """A window without blocks tries every k, so the search meets the
+        block cap at k = 17."""
+        source = ExplicitSource(BINARY, (morse.periodic_window(Seed(0, 0, 2), 16),))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError) as err:
+            search_toeplitz_certificate(source, 17)
+        assert str(err.value) == "2**17 exceeds block cap 65536"
+        assert time.perf_counter() - start < 5
 
 
 class TestNecessaryConditions:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 import conjugacy_oracle as oracle
+import substitution_oracle
 from morsetoeplitz import conjugacy
 from morsetoeplitz import (
     BINARY,
@@ -21,9 +22,11 @@ from morsetoeplitz import (
     ToeplitzCertificate,
     Word,
     language_brute,
+    minimal_seed_period,
     parse_substitution,
     search_morse_certificate,
     search_toeplitz_certificate,
+    system_seeds,
     verify_morse_certificate,
     verify_toeplitz_certificate,
 )
@@ -34,7 +37,7 @@ from morsetoeplitz.conjugacy import (
     _TOEPLITZ,
     _candidates,
 )
-from morsetoeplitz.words import Window, phase_tokens
+from morsetoeplitz.words import Window
 
 THREE = parse_substitution("0->12;1->02;2->10")
 
@@ -60,6 +63,17 @@ def test_pair_closure_is_the_two_block_language(name):
     sub = SYSTEMS[name]
     if sub._primitive:
         assert sub._pairs == {w.letters for w in language_brute(sub, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_seeds_agree_with_the_cycle_oracle(name):
+    sub = SYSTEMS[name]
+    imgs = [im.letters for im in sub.images]
+    assert minimal_seed_period(sub) == substitution_oracle.least_seed_period(imgs)
+    if sub._primitive:
+        pairs = {tuple(w.letters) for w in language_brute(sub, 2)}
+        want = substitution_oracle.system_seeds(imgs, pairs)
+        assert [(s.left, s.right, s.period) for s in system_seeds(sub)] == want
 
 
 KINDS = {
@@ -444,19 +458,24 @@ def test_level_view_refuses_what_the_words_would():
 
 def test_morse_identity_slices_no_word(monkeypatch):
     """Identity certificates of Morse and Toeplitz pass every 2R-block by
-    its run of certificate tiles: no window is cut into span-slices."""
-    calls = []
+    its run of certificate tiles: no block is evaluated on its own, while
+    the explicit block rejection evaluates its failing block."""
+    labels = []
 
-    def counted(*args):
-        calls.append(args)
-        return phase_tokens(*args)
+    def counted(kind, cert, phases, label):
+        labels.append(label)
+        return evaluate(kind, cert, phases, label)
 
-    monkeypatch.setattr(conjugacy, "phase_tokens", counted)
+    evaluate = conjugacy._evaluate
+    monkeypatch.setattr(conjugacy, "_evaluate", counted)
     for k in (1, 2, 3, 4):
         assert verify_morse_certificate(MORSE, identity("morse", MORSE, k)).accepted
         cert = identity("toeplitz", TOEPLITZ, k)
         assert verify_toeplitz_certificate(TOEPLITZ, cert).accepted
-    assert calls == []
+    assert labels.count("") == 0
+    _, source, cert, radius = EXPLICIT_CASES[-1]
+    assert not verify_toeplitz_certificate(source, cert, radius).accepted
+    assert labels.count("") >= 1
 
 
 # -- the block-stage interval pass ------------------------------------------

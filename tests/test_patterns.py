@@ -233,9 +233,21 @@ class TestClassifyWord:
         r = classify_word(BINARY.word(""))
         assert r.morse_factor is True and r.toeplitz_factor is True
 
-    def test_factor_fields_are_none_beyond_the_bound(self):
-        r = classify_word(BINARY.word("01" * 10), factor_bound=8)
-        assert r.morse_factor is None and r.toeplitz_factor is None
+    def test_factor_fields_are_answered_at_every_length(self, morse, toeplitz):
+        """Past 16 letters too: every block of either language, and each
+        with one letter flipped, at lengths 17 to 64."""
+        rng = random.Random(64)
+        for n in range(17, 65):
+            morse_blocks, toeplitz_blocks = morse.language(n), toeplitz.language(n)
+            words = set()
+            for w in morse_blocks | toeplitz_blocks:
+                flipped = bytearray(w.letters)
+                flipped[rng.randrange(n)] ^= 1
+                words.update((w.letters, bytes(flipped)))
+            for data in words:
+                r = classify_word(binary(data))
+                assert r.morse_factor is (r.word in morse_blocks)
+                assert r.toeplitz_factor is (r.word in toeplitz_blocks)
 
     def test_requires_the_binary_alphabet(self):
         with pytest.raises(DomainError):

@@ -446,6 +446,10 @@ class TestSerialization:
             ("memory", "NaN"),
             ("memory", "1e400"),
             ("anticipation", "-1e400"),
+            ("memory", "0.5"),
+            ("memory", "true"),
+            ("anticipation", "1.25"),
+            ("anticipation", "false"),
             ("domain", "5"),
             ("domain", "null"),
         ],
@@ -454,6 +458,10 @@ class TestSerialization:
         payload = rule_to_json(oxtoby) | {field: json.loads(value)}
         with pytest.raises(DomainError, match="malformed rule payload"):
             rule_from_json(payload)
+
+    def test_whole_float_fields_are_taken(self, oxtoby):
+        payload = rule_to_json(oxtoby) | {"memory": 0.0, "anticipation": 1.0}
+        assert rule_from_json(payload) == oxtoby
 
     def test_load_rule_by_name(self, oxtoby):
         assert load_rule("oxtoby") == oxtoby

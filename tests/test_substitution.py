@@ -279,6 +279,35 @@ class TestSystemSeeds:
         assert time.perf_counter() - start < 5
         assert len(seeds) == 3540
         assert {s.period for s in seeds} == {3540}
+        # at n**2 = 3600 and 3542 2-blocks, the sweeps' bounds are nearly tight
+        assert len(sub._pairs) == 3542
+        # the 62 2-blocks of the brute-force language reach F's 3540-cycle
+        pairs = {tuple(w.letters) for w in language_brute(sub, 2)}
+        want = oracle.system_seeds(letters(sub), pairs)
+        assert [(s.left, s.right, s.period) for s in seeds] == want
+        assert oracle.least_seed_period(letters(sub)) == 3540
+
+    def test_seeds_agree_with_the_cycle_oracle(self):
+        """The least seed period is the least lcm of cycle lengths of the
+        boundary maps, at most n**2 for n letters; the system seeds are the
+        2-blocks on the shortest cycles of F(ab) = (last letter of sigma(a),
+        first letter of sigma(b)), of period at most the number of 2-blocks."""
+        rng = random.Random(15)
+        primitive = 0
+        for _ in range(400):
+            size, r = rng.randint(2, 8), rng.randint(2, 4)
+            sub = random_substitution(rng, size, r)
+            p = minimal_seed_period(sub)
+            assert p == oracle.least_seed_period(letters(sub)) <= size * size
+            if not sub._primitive:
+                continue
+            primitive += 1
+            pairs = {tuple(w.letters) for w in language_brute(sub, 2, blowup=512)}
+            seeds = system_seeds(sub)
+            want = oracle.system_seeds(letters(sub), pairs)
+            assert [(s.left, s.right, s.period) for s in seeds] == want
+            assert seeds[0].period <= len(pairs)
+        assert primitive > 100
 
 
 class TestPeriodicWindow:
