@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -37,9 +36,9 @@ from .conjugacy import (
 from .errors import Error
 from .graphs import build_graph
 from .patterns import find_even_square, find_overlap
-from .sliding import apply_code, oxtoby_rule, preimage_blocks, rule_from_json
+from .sliding import apply_code, load_rule, preimage_blocks
 from .substitution import Seed, parse_substitution
-from .words import Alphabet, BINARY, parse_window
+from .words import Alphabet, BINARY, load_json, parse_window
 
 
 def _word_alphabet(text: str, extra: str = "") -> Alphabet:
@@ -47,26 +46,6 @@ def _word_alphabet(text: str, extra: str = "") -> Alphabet:
     if symbols <= {"0", "1"}:
         return BINARY
     return Alphabet(tuple(sorted(symbols)))
-
-
-def _load_json_arg(text: str) -> dict:
-    if os.path.exists(text):
-        try:
-            with open(text, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise Error(f"cannot read JSON file {text}: {exc}") from None
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            return json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise Error(f"malformed inline JSON: {exc}") from None
-    raise Error(f"expected a JSON file or inline JSON object, got {text!r}")
-
-
-def _load_rule_arg(text: str):
-    return oxtoby_rule() if text == "oxtoby" else rule_from_json(_load_json_arg(text))
 
 
 def _key_lines(payload: dict) -> list[str]:
@@ -168,7 +147,7 @@ def check(pattern: str, text: str, zero: str):
 @click.option("--window", "window_text", required=True, help="Window with '.' origin.")
 def image(rule_source: str, window_text: str):
     """Apply a sliding block code to a marked window."""
-    rule = _load_rule_arg(rule_source)
+    rule = load_rule(rule_source)
     out = apply_code(rule, parse_window(window_text, rule.input_alphabet))
     return 0, {"input": window_text, "image": out.text}, [out.text]
 
@@ -178,7 +157,7 @@ def image(rule_source: str, window_text: str):
 @click.option("--word", "text", required=True, help="Image word (no '.').")
 def preimage(rule_source: str, text: str):
     """List every block mapping onto the given word under the code."""
-    rule = _load_rule_arg(rule_source)
+    rule = load_rule(rule_source)
     word = rule.output_alphabet.word(text)
     blocks = sorted(b.text for b in preimage_blocks(rule, word))
     return 0, {"word": text, "count": len(blocks), "preimages": blocks}, blocks
@@ -191,7 +170,7 @@ def preimage(rule_source: str, text: str):
 def verify_cert(cert_source: str, spec: str, radius: int | None):
     """Verify a block certificate against a substitution's system."""
     sub = parse_substitution(spec)
-    cert = certificate_from_json(_load_json_arg(cert_source), sub.alphabet)
+    cert = certificate_from_json(load_json(cert_source), sub.alphabet)
     if isinstance(cert, ToeplitzCertificate):
         verdict = verify_toeplitz_certificate(sub, cert, radius)
     else:
@@ -287,7 +266,7 @@ def analyze(spec: str, kind: str | None):
 def derive(spec: str, rule_source: str, r: int):
     """Build the substitution induced by a block rule on an r-fold image."""
     sub = parse_substitution(spec)
-    derived = derive_substitution(sub, _load_rule_arg(rule_source), r)
+    derived = derive_substitution(sub, load_rule(rule_source), r)
     alphabet = derived.substitution.alphabet
     blocks = {alphabet.name(i): block.text for i, block in enumerate(derived.blocks)}
     payload = {

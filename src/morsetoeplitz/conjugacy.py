@@ -70,9 +70,11 @@ from .substitution import (
     Substitution,
     _covering_words,
     _is_factor,
+    _Levels,
+    _tile_tokens,
     system_seeds,
 )
-from .words import Alphabet, BINARY, Window, Word, _json_int, phase_tokens
+from .words import Alphabet, BINARY, Window, Word, json_field
 
 # failure reasons reported by the verifiers
 NO_PHASE = "no_phase"
@@ -145,13 +147,13 @@ def certificate_from_json(
 ) -> ToeplitzCertificate | MorseCertificate:
     try:
         kind = payload["kind"]
-        k = _json_int(payload["k"])
+        k = json_field(payload["k"], int)
         keys = ("C0", "C1", "C0p", "C1p")[: 4 if kind == "morse" else 2]
-        blocks = [alphabet.word(str(payload[key])) for key in keys]
+        blocks = [alphabet.word(json_field(payload[key], str)) for key in keys]
         if kind in ("toeplitz", "morse"):
             cls = ToeplitzCertificate if kind == "toeplitz" else MorseCertificate
             return cls(k, *blocks)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed certificate payload: {exc}") from None
     raise DomainError(f"unknown certificate kind {kind!r}")
 
@@ -326,9 +328,8 @@ def parse_phases(
     token_alphabet = Alphabet(tuple(_TOKEN_SYMBOLS[: len(ordered)]))
     index = {b.letters: i for i, b in enumerate(ordered)}
     return [
-        PhaseParse(j, t0, Word(token_alphabet, bytes(toks)))
-        for j, t0, toks in phase_tokens(win, span, index)
-        if None not in toks
+        PhaseParse(j, t0, Word(token_alphabet, toks))
+        for j, t0, toks in _tile_tokens(win, span, index)
     ]
 
 
@@ -486,91 +487,6 @@ def _candidates(kind: _Kind, rows: list[list[bytes]], blocks: set[bytes]) -> set
                         choices[i] = [b for b in choices[i] if b != x and b in blocks]
                     out.update(product(*choices))
     return out
-
-
-# -- the tiler -------------------------------------------------------------
-
-
-class _Levels:
-    """Tiles of words given as sigma**d of level words, from the letter
-    images of sigma**d, of a length ``size`` dividing the span c*size.  The
-    tile at bilateral index t0 is the image of the level (c+1)-block at the
-    level position of t0, read from offset t0 mod size; the last block of a
-    level word is padded with letter 0, which the last tile, at offset 0,
-    never reads.  At size 1 the images are the identity, and a tile is its
-    own level c-block.  Each word is the row of its level-block keys,
-    indices in one dict, so a tile is one (offset, key) pair and no slice
-    is hashed per window.
-
-    A certificate block sits at offset o of a tile only where it occurs at
-    o in a key's image, so ``bytes.find`` over the images gives one code
-    table per offset, and a phase whose offset holds no certificate tile
-    is all code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it
-    is skipped.  ``words`` are as ``LanguageSource.level_words`` gives them."""
-
-    def __init__(self, images: tuple[bytes, ...], span: int, words: list[tuple]):
-        self.span, self.size = span, len(images[0])
-        self.c = c = span // self.size
-        width = c + (self.size > 1)
-        index: dict[bytes, int] = {}
-        self.words = []
-        for level, base, lo, hi in words:
-            padded = level + b"\0"
-            keys = [
-                index.setdefault(padded[q : q + width], len(index))
-                for q in range(len(level) - c + 1)
-            ]
-            self.words.append((level, keys, base, lo, hi))
-        self.lengths = [hi - lo for *_, lo, hi in words]
-        self.letter_images = images
-        self.images = [self._expand(key) for key in index]
-
-    def _expand(self, level: bytes) -> bytes:
-        if self.size == 1:
-            return level
-        return b"".join(self.letter_images[a] for a in level)
-
-    def letters(self, w: int) -> bytes:
-        level, _, base, lo, hi = self.words[w]
-        return self._expand(level)[lo - base : hi - base]
-
-    def _phases(self, w: int, js):
-        """(phase, start, offset, keys) of word w at the phases js.  A phase
-        of fewer than 3 tiles reaches only depth 0 in ``_evaluate``, and
-        ``_candidates`` skips it."""
-        _, keys, base, lo, hi = self.words[w]
-        span, size, c = self.span, self.size, self.c
-        for j in js:
-            t0 = lo + (j - lo) % span
-            q0, count = (t0 - base) // size, (hi - t0) // span
-            yield j, t0, j % size, keys[q0 : q0 + count * c : c]
-
-    def tiles(self, w: int) -> list[list[bytes]]:
-        span, cut = self.span, {}
-        rows = []
-        for _, _, o, keys in self._phases(w, range(span)):
-            for key in keys:
-                if (o, key) not in cut:
-                    cut[o, key] = self.images[key][o : o + span]
-            rows.append([cut[o, key] for key in keys])
-        return rows
-
-    def coder(self, cert):
-        """Rows of tile codes of word w, as (phase, start, row) at every
-        phase whose offset holds a certificate tile."""
-        size, stop = self.size, self.size + self.span - 1
-        tables: dict[int, bytearray] = {}
-        for bit, block in enumerate(cert.blocks):
-            for key, image in enumerate(self.images):
-                o = image.find(block.letters, 0, stop)
-                while o >= 0:
-                    tables.setdefault(o, bytearray(len(self.images)))[key] |= 1 << bit
-                    o = image.find(block.letters, o + 1, stop)
-        js = [t * size + o for t in range(self.c) for o in sorted(tables)]
-        return lambda w: [
-            (j, t0, [tables[o][key] for key in keys])
-            for j, t0, o, keys in self._phases(w, js)
-        ]
 
 
 # -- verification --------------------------------------------------------

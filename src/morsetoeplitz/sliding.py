@@ -18,7 +18,6 @@ built-in two-to-one code from the Morse onto the Toeplitz minimal set.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -26,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import CapacityError, DomainError, RangeError
-from .words import Alphabet, BINARY, Window, Word, _json_int
+from .words import Alphabet, BINARY, Window, Word, json_field, load_json
 
 #: Cap on candidate expansions while enumerating preimages.
 DEFAULT_PREIMAGE_CAP = 1 << 22
@@ -302,19 +301,19 @@ def rule_to_json(rule: LocalRule) -> dict:
 
 def rule_from_json(payload: dict) -> LocalRule:
     try:
-        memory = _json_int(payload["memory"])
-        anticipation = _json_int(payload["anticipation"])
-        input_alphabet = Alphabet.from_names(str(payload["input"]))
-        output_alphabet = Alphabet.from_names(str(payload["output"]))
-        raw_table = payload["table"]
-        names = [str(d) for d in payload["domain"]] if "domain" in payload else None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        memory = json_field(payload["memory"], int)
+        anticipation = json_field(payload["anticipation"], int)
+        input_alphabet = Alphabet.from_names(json_field(payload["input"], str))
+        output_alphabet = Alphabet.from_names(json_field(payload["output"], str))
+        raw_table = json_field(payload["table"], dict)
+        pairs = [(json_field(k, str), json_field(v, str)) for k, v in raw_table.items()]
+        names = None
+        if "domain" in payload:
+            names = [json_field(d, str) for d in json_field(payload["domain"], list)]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed rule payload: {exc}") from None
-    if not isinstance(raw_table, dict):
-        raise DomainError("rule table must be an object")
     table = {
-        input_alphabet.word(str(k)).letters: output_alphabet.word(str(v)).letters
-        for k, v in raw_table.items()
+        input_alphabet.word(k).letters: output_alphabet.word(v).letters for k, v in pairs
     }
     domain = None
     if names is not None:
@@ -323,14 +322,7 @@ def rule_from_json(payload: dict) -> LocalRule:
 
 
 def load_rule(source: str | Path) -> LocalRule:
-    """Load a rule from a JSON file; the builtin name "oxtoby" is accepted."""
-    if str(source) == "oxtoby":
-        return oxtoby_rule()
-    path = Path(source)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise DomainError(f"cannot read rule file {source}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"rule file {source} is not valid JSON: {exc}") from None
-    return rule_from_json(payload)
+    """The builtin rule "oxtoby", else the rule JSON in the file at path
+    ``source`` or inline in ``source`` itself."""
+    text = str(source)
+    return oxtoby_rule() if text == "oxtoby" else rule_from_json(load_json(text))

@@ -39,7 +39,7 @@ from .errors import (
     RangeError,
     SeedError,
 )
-from .words import _LETTERS, Alphabet, Window, Word, _trusted_word, phase_tokens
+from .words import _LETTERS, Alphabet, Window, Word, _trusted_word
 
 #: Cap on the length of any materialized word.
 DEFAULT_MAX_LEN = 1 << 20
@@ -321,9 +321,7 @@ class Substitution:
 
     # -- desubstitution ---------------------------------------------------
 
-    def desubstitute(
-        self, k: int, win: Window, max_len: int = DEFAULT_MAX_LEN
-    ) -> list[tuple[int, Word]]:
+    def desubstitute(self, k: int, win: Window) -> list[tuple[int, Word]]:
         """Phases at which the window tiles by k-th-iterate images.
 
         For each bilateral residue j in [0, r**k) the maximal aligned run of
@@ -336,19 +334,19 @@ class Substitution:
             raise RangeError("desubstitute needs k >= 0")
         if win.word.alphabet != self.alphabet:
             raise DomainError("window is over a different alphabet")
-        span = self.length**k
-        if len(win) < 3 * span:
+        # r**k >= 2**k, so a k past the window's bit length is refused without
+        # building r**k
+        r = self.length
+        if k >= len(win).bit_length() or 3 * r**k > len(win):
             raise InsufficientWindowError(
-                f"window of length {len(win)} is shorter than 3 tiles of {span}"
+                f"window of length {len(win)} is shorter than 3 tiles of "
+                f"r**k = {r}**{k}"
             )
-        images = self._iterate(k, max_len)
-        block_of: dict[bytes, int] = {}
-        for a in reversed(range(self.alphabet.size)):
-            block_of[images[a]] = a
+        images = self._iterate(k)
+        block_of = {images[a]: a for a in reversed(range(self.alphabet.size))}
         return [
-            (j, Word(self.alphabet, bytes(recovered)))
-            for j, _, recovered in phase_tokens(win, span, block_of)
-            if None not in recovered
+            (j, Word(self.alphabet, letters))
+            for j, _, letters in _tile_tokens(win, r**k, block_of)
         ]
 
 
@@ -416,6 +414,110 @@ def _language(sub: Substitution, n: int) -> frozenset[Word]:
     starts = range(len(words[0]) // 2)
     blocks = {x[i : i + n] for x in words for i in starts}
     return frozenset(_trusted_word(sub.alphabet, b) for b in blocks)
+
+
+# -- the tiler -------------------------------------------------------------
+
+
+class _Levels:
+    """Tiles of words given as sigma**d of level words, from the letter
+    images of sigma**d, of a length ``size`` dividing the span c*size.  The
+    tile at bilateral index t0 is the image of the level (c+1)-block at the
+    level position of t0, read from offset t0 mod size; the last block of a
+    level word is padded with letter 0, which the last tile, at offset 0,
+    never reads.  At size 1 the images are the identity, and a tile is its
+    own level c-block.  Each word is the row of its level-block keys,
+    indices in one dict, so a tile is one (offset, key) pair and no slice
+    is hashed per window.
+
+    A certificate block sits at offset o of a tile only where it occurs at
+    o in a key's image, so ``bytes.find`` over the images gives one code
+    table per offset, and a phase whose offset holds no certificate tile
+    is all code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it
+    is skipped.  ``words`` are as ``LanguageSource.level_words`` gives them."""
+
+    def __init__(self, images: tuple[bytes, ...], span: int, words: list[tuple]):
+        self.span, self.size = span, len(images[0])
+        self.c = c = span // self.size
+        width = c + (self.size > 1)
+        index: dict[bytes, int] = {}
+        self.words = []
+        for level, base, lo, hi in words:
+            padded = level + b"\0"
+            keys = [
+                index.setdefault(padded[q : q + width], len(index))
+                for q in range(len(level) - c + 1)
+            ]
+            self.words.append((level, keys, base, lo, hi))
+        self.lengths = [hi - lo for *_, lo, hi in words]
+        self.letter_images = images
+        self.images = [self._expand(key) for key in index]
+
+    def _expand(self, level: bytes) -> bytes:
+        if self.size == 1:
+            return level
+        return b"".join(self.letter_images[a] for a in level)
+
+    def letters(self, w: int) -> bytes:
+        level, _, base, lo, hi = self.words[w]
+        return self._expand(level)[lo - base : hi - base]
+
+    def _phases(self, w: int, js):
+        """(phase, start, offset, keys) of word w at the phases js.  A phase
+        of fewer than 3 tiles reaches only depth 0 in ``_evaluate``, and
+        ``_candidates`` skips it."""
+        _, keys, base, lo, hi = self.words[w]
+        span, size, c = self.span, self.size, self.c
+        for j in js:
+            t0 = lo + (j - lo) % span
+            q0, count = (t0 - base) // size, (hi - t0) // span
+            yield j, t0, j % size, keys[q0 : q0 + count * c : c]
+
+    def tiles(self, w: int) -> list[list[bytes]]:
+        span, cut = self.span, {}
+        rows = []
+        for _, _, o, keys in self._phases(w, range(span)):
+            for key in keys:
+                if (o, key) not in cut:
+                    cut[o, key] = self.images[key][o : o + span]
+            rows.append([cut[o, key] for key in keys])
+        return rows
+
+    def coder(self, cert):
+        """Rows of tile codes of word w, as (phase, start, row) at every
+        phase whose offset holds a certificate tile."""
+        size, stop = self.size, self.size + self.span - 1
+        tables: dict[int, bytearray] = {}
+        for bit, block in enumerate(cert.blocks):
+            for key, image in enumerate(self.images):
+                o = image.find(block.letters, 0, stop)
+                while o >= 0:
+                    tables.setdefault(o, bytearray(len(self.images)))[key] |= 1 << bit
+                    o = image.find(block.letters, o + 1, stop)
+        js = [t * size + o for t in range(self.c) for o in sorted(tables)]
+        return lambda w: [
+            (j, t0, [tables[o][key] for key in keys])
+            for j, t0, o, keys in self._phases(w, js)
+        ]
+
+
+def _tile_tokens(
+    win: Window, span: int, index: dict[bytes, int]
+) -> list[tuple[int, int, bytes]]:
+    """(phase, start, tokens) for each bilateral residue j in [0, span), in
+    ascending j, whose aligned run of span-tiles in the window holds at
+    least 3 tiles, all keys of ``index``: ``start`` is the bilateral index of
+    the first tile, and the tokens are the tiles mapped through ``index``.
+    The window is its own level word, under identity images."""
+    identity = tuple(bytes((a,)) for a in range(win.word.alphabet.size))
+    tiler = _Levels(identity, span, [(win.word.letters, win.start, win.start, win.stop)])
+    tokens = [index.get(tile) for tile in tiler.images]
+    rows = []
+    for j, t0, _, keys in tiler._phases(0, range(span)):
+        row = [tokens[key] for key in keys]
+        if len(row) >= 3 and None not in row:
+            rows.append((j, t0, bytes(row)))
+    return rows
 
 
 def language_brute(

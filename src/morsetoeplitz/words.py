@@ -9,11 +9,15 @@ the letter at position ``origin`` carries bilateral index 0, positions to
 its left carry -1, -2, and so on.  Windows render with a decimal point
 written immediately before index 0, as in ``"10010110.01101001"``.
 
-All three types are immutable and safe to share between threads.
+All three types are immutable and safe to share between threads.  Rule
+and certificate JSON is read by ``load_json``, and its fields are checked
+by ``json_field``.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
@@ -216,31 +220,6 @@ class Window:
         return f"Window({self.text!r})"
 
 
-def phase_tokens(
-    win: Window, span: int, index: dict[bytes, int]
-) -> list[tuple[int, int, list]]:
-    """Cut a window into span-tiles at every bilateral phase and map each
-    tile through ``index``; a tile missing from it maps to None.
-
-    Returns (phase, start, tokens) for each residue j in [0, span) whose
-    aligned run holds at least 3 full tiles, in ascending j: ``start`` is
-    the bilateral index of the first tile.
-    """
-    data = win.word.letters
-    lo, hi = win.start, win.stop
-    get = index.get
-    out = []
-    for j in range(span):
-        t0 = lo + (j - lo) % span
-        count = (hi - t0) // span
-        if count < 3:
-            continue
-        off = t0 - lo
-        row = [get(data[i : i + span]) for i in range(off, off + count * span, span)]
-        out.append((j, t0, row))
-    return out
-
-
 def parse_window(text: str, alphabet: Alphabet) -> Window:
     """Parse a rendered window such as ``"1001.0110"``."""
     if text.count(".") != 1:
@@ -249,8 +228,30 @@ def parse_window(text: str, alphabet: Alphabet) -> Window:
     return Window(alphabet.word(left + right), len(left))
 
 
-def _json_int(value) -> int:
-    """``int(value)``, but a boolean or a fraction raises ValueError."""
-    if isinstance(value, bool) or isinstance(value, float) and value % 1 > 0:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def json_field(value, kind: type):
+    """``value`` when it has the JSON type ``kind`` (str, int, list or dict),
+    else ValueError: a boolean is no integer, nor is a whole float."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not {_JSON_TYPES[kind]}")
+
+
+def load_json(text: str):
+    """The JSON in the file at path ``text``, else ``text`` itself when it
+    holds an inline JSON object."""
+    if os.path.exists(text):
+        try:
+            with open(text, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read JSON file {text}: {exc}") from None
+    stripped = text.strip()
+    if stripped.startswith("{"):
+        try:
+            return json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"malformed inline JSON: {exc}") from None
+    raise DomainError(f"expected a JSON file or inline JSON object, got {text!r}")

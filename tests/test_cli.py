@@ -234,6 +234,10 @@ class TestImage:
             '"domain": 5',
             '"memory": 0.5',
             '"anticipation": true',
+            '"memory": "0"',
+            '"table": {"0": 1, "1": 0}',
+            '"input": ["0", "1"]',
+            '"domain": "01"',
         ],
     )
     def test_malformed_rule_fields(self, runner, field):
@@ -242,6 +246,27 @@ class TestImage:
         result = invoke(runner, "image", "--rule", rule, "--window", "01.10")
         assert_input_error(result)
         assert result.stderr.startswith("error: malformed rule payload: ")
+
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("{tmp}/absent.json", "expected a JSON file or inline JSON object, got "
+             "'{tmp}/absent.json'"),
+            ("{tmp}/rule.json", "cannot read JSON file {tmp}/rule.json: "
+             "Expecting value: line 1 column 1 (char 0)"),
+            ('{{"memory": 0, ', "malformed inline JSON: Expecting property name "
+             "enclosed in double quotes: line 1 column 14 (char 13)"),
+            ("memory", "expected a JSON file or inline JSON object, got 'memory'"),
+        ],
+        ids=["missing_file", "file_not_json", "inline_not_json", "plain_text"],
+    )
+    def test_loader_error_lines(self, runner, tmp_path, source, message):
+        (tmp_path / "rule.json").write_text("memory: 0\n")
+        rule = source.format(tmp=tmp_path)
+        result = invoke(runner, "image", "--rule", rule, "--window", "01.10")
+        assert_input_error(result)
+        assert result.stderr == f"error: {message.format(tmp=tmp_path)}\n"
 
 
 class TestPreimage:
@@ -354,14 +379,23 @@ class TestVerifyCert:
             ("100000000", "error: certificate blocks must have length 2**k = 2**"),
             ("0.9", "error: malformed certificate payload: 0.9 is not an integer\n"),
             ("true", "error: malformed certificate payload: True is not an integer\n"),
+            ("1.0", "error: malformed certificate payload: 1.0 is not an integer\n"),
+            ('"0"', "error: malformed certificate payload: '0' is not an integer\n"),
         ],
-        ids=["infinite", "huge", "fraction", "boolean"],
+        ids=["infinite", "huge", "fraction", "boolean", "whole_float", "string"],
     )
     def test_unusable_scale(self, runner, k, message):
         cert = f'{{"kind": "toeplitz", "k": {k}, "C0": "0", "C1": "1"}}'
         result = invoke(runner, "verify-cert", "--cert", cert, "--sub", TOEPLITZ_SPEC)
         assert_input_error(result)
         assert result.stderr.startswith(message)
+
+
+    def test_numeric_block_is_refused(self, runner):
+        cert = '{"kind": "toeplitz", "k": 0, "C0": 0, "C1": "1"}'
+        result = invoke(runner, "verify-cert", "--cert", cert, "--sub", TOEPLITZ_SPEC)
+        assert_input_error(result)
+        assert result.stderr == "error: malformed certificate payload: 0 is not a string\n"
 
 
 class TestSearchCert:

@@ -120,9 +120,21 @@ class TestCertificates:
             certificate_from_json(payload, BINARY)
         assert str(err.value) == f"malformed certificate payload: {k!r} is not an integer"
 
-    def test_json_takes_a_whole_float_scale(self):
-        payload = {"kind": "toeplitz", "k": 1.0, "C0": "01", "C1": "00"}
-        assert certificate_from_json(payload, BINARY) == tcert(1, "01", "00")
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k", 1.0, "1.0 is not an integer"),
+            ("k", "1", "'1' is not an integer"),
+            ("C0", 1, "1 is not a string"),
+            ("C1p", ["1", "0"], "['1', '0'] is not a string"),
+        ],
+        ids=["whole_float_k", "string_k", "number_block", "list_block"],
+    )
+    def test_json_refuses_wrongly_typed_fields(self, field, value, message):
+        payload = {"kind": "morse", "k": 1, "C0": "01", "C1": "10", "C0p": "01", "C1p": "10"}
+        with pytest.raises(DomainError) as err:
+            certificate_from_json(payload | {field: value}, BINARY)
+        assert str(err.value) == f"malformed certificate payload: {message}"
 
     def test_huge_scale_is_checked_without_building_the_span(self):
         payload = {"kind": "toeplitz", "k": 10**8, "C0": "0", "C1": "1"}
@@ -143,6 +155,19 @@ class TestParsePhases:
         blocks = {BINARY.word("01"), BINARY.word("10")}
         phases = parse_phases(win, blocks, 2)
         assert [(p.phase, p.start, p.tokens.text) for p in phases] == [(0, -8, "10010110")]
+
+    def test_tiles_map_to_their_block_indices(self):
+        win = Window(BINARY.word("01101001"), 4)
+        phases = parse_phases(win, [BINARY.word("01"), BINARY.word("10")], 2)
+        # phase 1 reads the tiles 11, 01 and 00 and is left out
+        assert [(p.phase, p.start, p.tokens.text) for p in phases] == [(0, -4, "0110")]
+
+    def test_phases_of_fewer_than_three_tiles_are_left_out(self):
+        # at span 2, "011.111" holds 3 tiles from index -3 and 2 from -2,
+        # all of them blocks
+        win = Window(BINARY.word("011111"), 3)
+        phases = parse_phases(win, [BINARY.word("11"), BINARY.word("01")], 2)
+        assert [(p.phase, p.start, p.tokens.text) for p in phases] == [(1, -3, "100")]
 
     def test_no_phase_on_foreign_letters(self):
         win = Window(BINARY.word("1" * 12), 6)

@@ -5,6 +5,7 @@ import random
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conjugacy_oracle as oracle
 import substitution_oracle
@@ -32,11 +33,13 @@ from morsetoeplitz import (
 )
 from morsetoeplitz.conjugacy import (
     SubstitutionSource,
-    _Levels,
     _MORSE,
     _TOEPLITZ,
     _candidates,
+    parse_phases,
 )
+from morsetoeplitz.errors import InsufficientWindowError
+from morsetoeplitz.substitution import _Levels
 from morsetoeplitz.words import Window
 
 THREE = parse_substitution("0->12;1->02;2->10")
@@ -541,3 +544,80 @@ def test_interval_pass_agrees_with_every_window(seed):
         verdict = KINDS[kind][1](source, cert, radius)
         assert verdict.accepted or verdict.detail.startswith("block["), case
         assert fields(verdict) == fields(KINDS[kind][2](source, cert, radius)), case
+
+
+# -- parse_phases and desubstitute against the slice oracle ------------------
+
+
+def letters(size, min_size, max_size):
+    letter = st.integers(0, size - 1)
+    return st.lists(letter, min_size=min_size, max_size=max_size).map(bytes)
+
+
+@st.composite
+def tiled_windows(draw, alphabet, span, blocks):
+    """At most 40 letters: up to a span of stray letters on each side of a
+    run of blocks, with perhaps one letter changed, at any origin, 0 and the
+    length included.  So some phases tile, and some hold fewer than 3 tiles."""
+    size = alphabet.size
+    body = b"".join(draw(st.lists(st.sampled_from(blocks), max_size=40 // span)))
+    data = bytearray(draw(letters(size, 0, span)) + body + draw(letters(size, 0, span)))
+    del data[40:]
+    if data and draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, size - 1))
+    origin = draw(st.sampled_from([0, len(data)]) | st.integers(0, len(data)))
+    return Window(Word(alphabet, bytes(data)), origin)
+
+
+def sliced_rows(win, span, index):
+    """(phase, start, tokens) of the oracle's runs of at least 3 tiles, when
+    every tile is a key of ``index``."""
+    return [
+        (j, t0, bytes(index[t] for t in tiles))
+        for j, t0, tiles in oracle._tile_runs(win, span)
+        if all(t in index for t in tiles)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_phases_match_the_slice_oracle(data):
+    size, span = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 6))
+    alphabet = Alphabet.from_names("0123"[:size])
+    block = letters(size, span, span)
+    blocks = data.draw(st.lists(block, min_size=2, max_size=5, unique=True))
+    win = data.draw(tiled_windows(alphabet, span, blocks))
+    words = [Word(alphabet, b) for b in blocks]
+    if len(win) < 3 * span:
+        with pytest.raises(InsufficientWindowError):
+            parse_phases(win, words, span)
+        return
+    index = {b: i for i, b in enumerate(blocks)}
+    got = [(p.phase, p.start, p.tokens.letters) for p in parse_phases(win, words, span)]
+    assert got == sliced_rows(win, span, index)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_desubstitute_matches_the_slice_oracle(data):
+    """Images of lengths r = 2-6 at k = 0, 1 and r = 2 at k = 2: spans 1-6.
+    Images are drawn from a pool, so letters often share one, as in
+    0->01;1->10;2->01, and the smaller letter must be recovered."""
+    size = data.draw(st.integers(2, 4))
+    scales = [(2, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2)]
+    r, k = data.draw(st.sampled_from(scales))
+    alphabet = Alphabet.from_names("0123"[:size])
+    pool = data.draw(st.lists(letters(size, r, r), min_size=1, max_size=size))
+    images = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    sub = Substitution(alphabet, tuple(Word(alphabet, im) for im in images))
+    iterate = [bytes((a,)) for a in range(size)]
+    for _ in range(k):
+        iterate = [b"".join(images[a] for a in w) for w in iterate]
+    win = data.draw(tiled_windows(alphabet, r**k, sorted(set(iterate))))
+    if len(win) < 3 * r**k:
+        with pytest.raises(InsufficientWindowError):
+            sub.desubstitute(k, win)
+        return
+    index = {w: iterate.index(w) for w in iterate}
+    got = [(j, w.letters) for j, w in sub.desubstitute(k, win)]
+    assert got == [(j, tokens) for j, _, tokens in sliced_rows(win, r**k, index)]

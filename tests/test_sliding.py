@@ -459,9 +459,31 @@ class TestSerialization:
         with pytest.raises(DomainError, match="malformed rule payload"):
             rule_from_json(payload)
 
-    def test_whole_float_fields_are_taken(self, oxtoby):
-        payload = rule_to_json(oxtoby) | {"memory": 0.0, "anticipation": 1.0}
-        assert rule_from_json(payload) == oxtoby
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("memory", 0.0, "0.0 is not an integer"),
+            ("anticipation", "1", "'1' is not an integer"),
+            ("input", ["0", "1"], "['0', '1'] is not a string"),
+            ("table", {"00": 1, "01": 0, "10": 0, "11": 1}, "1 is not a string"),
+            ("table", [["00", "1"]], "[['00', '1']] is not an object"),
+            ("domain", "0011", "'0011' is not a list"),
+            ("domain", ["00", 1], "1 is not a string"),
+        ],
+        ids=[
+            "whole_float_memory",
+            "string_anticipation",
+            "list_input",
+            "number_value",
+            "list_table",
+            "string_domain",
+            "number_domain_entry",
+        ],
+    )
+    def test_wrongly_typed_fields_are_refused(self, oxtoby, field, value, message):
+        with pytest.raises(DomainError) as err:
+            rule_from_json(rule_to_json(oxtoby) | {field: value})
+        assert str(err.value) == f"malformed rule payload: {message}"
 
     def test_load_rule_by_name(self, oxtoby):
         assert load_rule("oxtoby") == oxtoby
@@ -470,13 +492,22 @@ class TestSerialization:
         path = tmp_path / "rule.json"
         path.write_text(json.dumps(rule_to_json(oxtoby)))
         assert load_rule(path) == oxtoby
+        assert load_rule(str(path)) == oxtoby
+
+    def test_load_rule_inline(self, oxtoby):
+        assert load_rule(json.dumps(rule_to_json(oxtoby))) == oxtoby
 
     def test_load_rule_missing_file(self, tmp_path):
-        with pytest.raises(DomainError):
-            load_rule(tmp_path / "absent.json")
+        path = tmp_path / "absent.json"
+        with pytest.raises(DomainError) as err:
+            load_rule(path)
+        assert str(err.value) == (
+            f"expected a JSON file or inline JSON object, got {str(path)!r}"
+        )
 
     def test_load_rule_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             load_rule(path)
+        assert str(err.value).startswith(f"cannot read JSON file {path}: ")

@@ -515,6 +515,21 @@ class TestDesubstitute:
         with pytest.raises(InsufficientWindowError):
             morse.desubstitute(2, morse.periodic_window(Seed(0, 0, 2), 4))
 
+    @pytest.mark.parametrize(
+        "spec, k", [("0->01;1->10", 10**6), ("0->010;1->101", 10**7)]
+    )
+    def test_huge_order_is_refused_without_building_the_span(self, spec, k):
+        # 3**(10**7) alone takes seconds to build
+        sub = parse_substitution(spec)
+        win = sub.periodic_window(Seed(0, 0, 2), 8)
+        start = time.perf_counter()
+        with pytest.raises(InsufficientWindowError) as err:
+            sub.desubstitute(k, win)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == (
+            f"window of length 16 is shorter than 3 tiles of r**k = {sub.length}**{k}"
+        )
+
     def test_rejects_negative_order(self, morse):
         with pytest.raises(RangeError):
             morse.desubstitute(-1, morse.periodic_window(Seed(0, 0, 2), 8))

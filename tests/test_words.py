@@ -3,7 +3,7 @@
 import pytest
 
 from morsetoeplitz import Alphabet, BINARY, DomainError, RangeError, Word, parse_window
-from morsetoeplitz.words import Window, phase_tokens
+from morsetoeplitz.words import Window
 
 
 class TestAlphabet:
@@ -204,19 +204,3 @@ class TestWindow:
             parse_window("0110", BINARY)
         with pytest.raises(DomainError):
             parse_window("0.1.0", BINARY)
-
-
-class TestPhaseTokens:
-    def test_tiles_map_through_the_index(self):
-        win = Window(BINARY.word("01101001"), 4)
-        index = {b"\x00\x01": 0, b"\x01\x00": 1}
-        assert phase_tokens(win, 2, index) == [
-            (0, -4, [0, 1, 1, 0]),
-            (1, -3, [None, 0, None]),
-        ]
-
-    def test_phases_of_fewer_than_three_tiles_are_left_out(self):
-        # at span 2, "110.110" holds 3 tiles from index -3 and 2 from -2
-        win = Window(BINARY.word("110110"), 3)
-        index = {b"\x01\x01": 0, b"\x00\x01": 1}
-        assert phase_tokens(win, 2, index) == [(1, -3, [0, 1, None])]
