@@ -41,6 +41,10 @@ from .substitution import Seed, parse_substitution
 from .words import Alphabet, BINARY, load_json, parse_window
 
 
+_RULE_HELP = "Rule JSON file, inline JSON object or 'oxtoby'."
+_CERT_HELP = "Certificate JSON file or inline JSON object."
+
+
 def _word_alphabet(text: str, extra: str = "") -> Alphabet:
     symbols = set(text) | set(extra)
     if symbols <= {"0", "1"}:
@@ -143,7 +147,7 @@ def check(pattern: str, text: str, zero: str):
 
 
 @command
-@click.option("--rule", "rule_source", required=True, help="Rule JSON file or 'oxtoby'.")
+@click.option("--rule", "rule_source", required=True, help=_RULE_HELP)
 @click.option("--window", "window_text", required=True, help="Window with '.' origin.")
 def image(rule_source: str, window_text: str):
     """Apply a sliding block code to a marked window."""
@@ -153,7 +157,7 @@ def image(rule_source: str, window_text: str):
 
 
 @command
-@click.option("--rule", "rule_source", required=True, help="Rule JSON file or 'oxtoby'.")
+@click.option("--rule", "rule_source", required=True, help=_RULE_HELP)
 @click.option("--word", "text", required=True, help="Image word (no '.').")
 def preimage(rule_source: str, text: str):
     """List every block mapping onto the given word under the code."""
@@ -164,7 +168,7 @@ def preimage(rule_source: str, text: str):
 
 
 @command
-@click.option("--cert", "cert_source", required=True, help="Certificate JSON file.")
+@click.option("--cert", "cert_source", required=True, help=_CERT_HELP)
 @click.option("--sub", "spec", required=True, help="Substitution spec.")
 @click.option("--radius", default=None, type=int, help="Window radius per side.")
 def verify_cert(cert_source: str, spec: str, radius: int | None):
@@ -261,7 +265,7 @@ def analyze(spec: str, kind: str | None):
 
 @command
 @click.option("--sub", "spec", required=True, help="Substitution spec.")
-@click.option("--rule", "rule_source", required=True, help="Rule JSON file.")
+@click.option("--rule", "rule_source", required=True, help=_RULE_HELP)
 @click.option("--r", "r", required=True, type=int, help="Image tile length.")
 def derive(spec: str, rule_source: str, r: int):
     """Build the substitution induced by a block rule on an r-fold image."""

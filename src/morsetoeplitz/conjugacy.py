@@ -32,12 +32,13 @@ offset mod r**d and one level block: tile codes come from per-offset
 tables that ``bytes.find`` fills, and a phase at an offset where no
 certificate block occurs holds only code 0 and is skipped.  An explicit
 source, like a substitution whose length does not divide the span, is its
-own level at d = 0.  Searches derive candidates from the first sampled
-window, which any accepted certificate must parse: C0/C1 from the
-(carrier) tiles of a phase, C0'/C1' from its gaps by the neighbor table,
-open slots from the language blocks.  As the derived set holds every
-certificate that can be accepted, verifying it in lexicographic order
-still returns the least certificate.
+own level at d = 0.  Searches derive candidates from the first word tiled
+(the first sampled window, else the least 2R-block), which any accepted
+certificate must parse: C0/C1 from the (carrier) tiles of a phase, C0'/C1'
+from its gaps by the neighbor table, open slots from the language blocks.
+As the derived set holds every certificate that can be accepted, verifying
+it in lexicographic order still returns the least certificate.  A scale
+with neither word is skipped, as verification there refuses the source.
 
 ``derive_substitution`` runs the constructive direction: from a block rule
 realizing a conjugacy onto an r-fold self-similar image it builds the
@@ -63,7 +64,6 @@ from .errors import (
 from .patterns import find_even_square, find_overlap
 from .sliding import LocalRule
 from .substitution import (
-    DEFAULT_MAX_LEN,
     MORSE,
     TOEPLITZ,
     Seed,
@@ -254,7 +254,7 @@ class SubstitutionSource:
             level = Seed(last[seed.left], first[seed.right], seed.period)
             win = sub.periodic_window(level, level_radius)
             # refuse the radii at which the seed's own window is refused
-            sub._check_growth(seed.period, radius, DEFAULT_MAX_LEN)
+            sub._check_growth(seed.period, radius)
             labels.append(f"seed {seed}")
             words.append((win.word.letters, -level_radius * size, -radius, radius))
         for level in _covering_words(sub, 2 * radius, d):  # seeds checked primitivity
@@ -503,6 +503,8 @@ class _Checker:
 
     def verdict(self, cert) -> ParseVerdict:
         kind, radius = self.kind, self.radius
+        if not self.tiler.words:
+            raise DomainError(f"source has no window and no {2 * radius}-block to check")
         rows = self.tiler.coder(cert)
         entries = []
         for w, label in enumerate(self.labels):
@@ -629,7 +631,7 @@ def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
             if _is_factor(target, block):
                 continue
             # a piece past the factor test's cap is refused, not rejected
-            target._check_power(k + 1, DEFAULT_MAX_LEN)
+            target._check_power(k + 1)
             x = b"".join(images[a] for a in block)
             for piece in (x[o : o + span + 2] for o in cuts):
                 if not _is_factor(target, piece):
@@ -672,10 +674,9 @@ def _search(kind: _Kind, lang, kmax: int):
             raise CapacityError(f"2**{k} exceeds block cap {_MAX_SPAN}")
         words = {b.letters: b for b in source.blocks(span) or ()}
         checker = _Checker(kind, source, span, 32 * span)
-        if checker.labels:
-            candidates = _candidates(kind, checker.tiler.tiles(0), set(words))
-        else:
-            candidates = product(words, repeat=kind.slots)
+        if not checker.tiler.words:  # no window and no 2R-block to parse
+            continue
+        candidates = _candidates(kind, checker.tiler.tiles(0), set(words))
         for blocks in sorted(
             c for c in candidates if c[0] != c[1] and all(b in words for b in c)
         ):
@@ -820,9 +821,7 @@ class SelfSimilarityReport:
     unique_phase: bool
 
 
-def self_similarity_witness(
-    sub: Substitution, n: int, radius: int | None = None
-) -> SelfSimilarityReport:
+def self_similarity_witness(sub: Substitution, n: int) -> SelfSimilarityReport:
     if not sub.is_injective():
         raise PreconditionError("self-similarity witness needs an injective substitution")
     r = sub.length
@@ -830,8 +829,7 @@ def self_similarity_witness(
     images = {sub.apply(w) for w in lang_n}
     lang_rn = sub.language(r * n)
     contained = images <= lang_rn
-    if radius is None:
-        radius = max(16, 4 * r)
+    radius = max(16, 4 * r)
     unique = True
     for seed in system_seeds(sub):
         phases = sub.desubstitute(1, sub.periodic_window(seed, radius))

@@ -25,10 +25,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import CapacityError, DomainError, RangeError
+from .substitution import DEFAULT_MAX_LEN
 from .words import Alphabet, BINARY, Window, Word, json_field, load_json
-
-#: Cap on candidate expansions while enumerating preimages.
-DEFAULT_PREIMAGE_CAP = 1 << 22
 
 _MAX_WIDTH = 16
 
@@ -200,9 +198,7 @@ def apply_code(rule: LocalRule, win: Window) -> Window:
     return Window(word, origin)
 
 
-def preimage_blocks(
-    rule: LocalRule, w: Word, cap: int = DEFAULT_PREIMAGE_CAP
-) -> set[Word]:
+def preimage_blocks(rule: LocalRule, w: Word) -> set[Word]:
     """All input words of length len(w) + m + a that map onto w.
 
     The fibre is the set of paths through the rule's de Bruijn automaton,
@@ -211,10 +207,10 @@ def preimage_blocks(
     prefixes reaching them; a backward pass spells the fibre from the end,
     keeping suffixes only at states from which the rest of w can be
     emitted, so every suffix extends to a preimage.  Suffixes share their
-    tails, memory stays bounded by the fibre, and the work is linear in
-    len(w).  ``cap`` bounds the letter extensions that a depth-first
-    enumeration with early filtering would try, dead ends included;
-    exceeding it raises CapacityError.
+    tails, and the work is linear in len(w).  CapacityError refuses words
+    longer than ``DEFAULT_MAX_LEN`` up front, and a forward pass keeping
+    more states, or a fibre holding more letters, than two such words:
+    the Oxtoby code's fibre.  The fibre is counted before it is spelled.
     """
     _require_letter_valued(rule)
     if w.alphabet != rule.output_alphabet:
@@ -222,31 +218,35 @@ def preimage_blocks(
     k = rule.width - 1
     size = rule.input_alphabet.size
     target = w.letters
-    # a depth-first enumeration tries every k-letter seed, then every letter
-    # after every prefix that still maps onto the front of w
-    budget = cap - sum(size**i for i in range(1, k + 1))
-    if budget < 0:
-        raise CapacityError(f"preimage enumeration exceeded cap {cap}")
+    letters, cap = len(target) + k, 2 * DEFAULT_MAX_LEN
+    if letters > DEFAULT_MAX_LEN:
+        raise CapacityError(f"preimage words of {letters} letters exceed cap {cap >> 1}")
+    full = f"preimage fibre exceeds cap {cap} letters"
     if not target:
+        if k * size**k > cap:
+            raise CapacityError(full)
         seeds = product(range(size), repeat=k)
         return {Word(rule.input_alphabet, bytes(seed)) for seed in seeds}
     moves: dict[tuple[bytes, int], list[tuple[int, bytes]]] = {}
     for key, value in rule.table.items():
         moves.setdefault((key[:k], value[0]), []).append((key[k], key[1:]))
-    live = size**k
     counts = {s: 1 for s, out in moves if out == target[0]}  # state -> prefixes
     reached: list[dict[bytes, int]] = []
+    kept = 0
     for out in target:
-        budget -= size * live
-        if budget < 0:
-            raise CapacityError(f"preimage enumeration exceeded cap {cap}")
+        kept += len(counts)
+        if kept > cap:
+            raise CapacityError(f"preimage search keeps over {cap} states")
         reached.append(counts)
         nxt: dict[bytes, int] = {}
         for s, n in counts.items():
             for _, t in moves.get((s, out), ()):
                 nxt[t] = nxt.get(t, 0) + n
         counts = nxt
-        live = sum(nxt.values())
+        if sum(nxt.values()) > cap:  # counts past the cap all refuse alike
+            counts = {t: min(n, cap + 1) for t, n in nxt.items()}
+    if sum(counts.values()) * letters > cap:
+        raise CapacityError(full)
     # a suffix is a chain (letter, rest) sharing its rest with its siblings
     suffixes: dict[bytes, list] = {s: [None] for s in counts}
     for out, states in zip(reversed(target), reversed(reached)):

@@ -107,25 +107,24 @@ class Substitution:
             raise DomainError("word is over a different alphabet")
         return Word(self.alphabet, _image(self._letters, w.letters))
 
-    def power(self, k: int, max_len: int = DEFAULT_MAX_LEN) -> Substitution:
+    def power(self, k: int) -> Substitution:
         """The k-th iterate as a substitution of length r**k."""
         if k < 1:
             raise RangeError("power needs k >= 1")
-        return Substitution(
-            self.alphabet,
-            tuple(Word(self.alphabet, w) for w in self._iterate(k, max_len)),
-        )
+        images = tuple(Word(self.alphabet, w) for w in self._iterate(k))
+        return Substitution(self.alphabet, images)
 
-    def _check_power(self, k: int, max_len: int) -> None:
+    def _check_power(self, k: int) -> None:
         # r**k >= 2**k, so a k past the cap's bit length is refused without
         # building r**k
-        if k >= max_len.bit_length() or self.length**k > max_len:
-            raise CapacityError(f"r**k = {self.length}**{k} exceeds cap {max_len}")
+        cap = DEFAULT_MAX_LEN
+        if k >= cap.bit_length() or self.length**k > cap:
+            raise CapacityError(f"r**k = {self.length}**{k} exceeds cap {cap}")
 
-    def _iterate(self, k: int, max_len: int = DEFAULT_MAX_LEN) -> tuple[bytes, ...]:
+    def _iterate(self, k: int) -> tuple[bytes, ...]:
         """Letter images of sigma**k for k >= 0, the letters themselves at
         k = 0: the k-th image of the word of all letters, cut into r**k-blocks."""
-        self._check_power(k, max_len)
+        self._check_power(k)
         data = bytes(range(self.alphabet.size))
         for _ in range(k):
             data = _image(self._letters, data)
@@ -208,9 +207,7 @@ class Substitution:
             left = [a for a in letters if fp[a] == a]
             yield p, left, [b for b in letters if gp[b] == b]
 
-    def periodic_window(
-        self, seed: Seed, radius: int, max_len: int = DEFAULT_MAX_LEN
-    ) -> Window:
+    def periodic_window(self, seed: Seed, radius: int) -> Window:
         """Central window of the periodic point fixed by the seed.
 
         Covers bilateral indices [-radius, radius); the origin letter is the
@@ -224,8 +221,8 @@ class Substitution:
         last, first = self._boundary_maps(seed.period)
         if last[seed.left] != seed.left or first[seed.right] != seed.right:
             raise SeedError(f"seed {seed} is not admissible for {self}")
-        self._check_power(seed.period, max_len)
-        self._check_growth(seed.period, radius, max_len)
+        self._check_power(seed.period)
+        self._check_growth(seed.period, radius)
 
         def grow(word: bytes) -> bytes:
             while len(word) < radius:
@@ -236,15 +233,15 @@ class Substitution:
         body = grow(bytes([seed.left]))[-radius:] + grow(bytes([seed.right]))[:radius]
         return Window(Word(self.alphabet, body), radius)
 
-    def _check_growth(self, period: int, radius: int, max_len: int) -> None:
-        """Refuse a window whose growth passes ``max_len``.  A window grows
+    def _check_growth(self, period: int, radius: int) -> None:
+        """Refuse a window whose growth passes the length cap.  A window grows
         by rounds of sigma**period from one letter per side until it reaches
         the radius; lengths only grow, so the last round is the longest."""
         step, size = self.length**period, 1
         while size < radius:
             size *= step
-        if size > max_len:
-            raise CapacityError(f"window growth exceeds cap {max_len}")
+        if size > DEFAULT_MAX_LEN:
+            raise CapacityError(f"window growth exceeds cap {DEFAULT_MAX_LEN}")
 
     # -- language ---------------------------------------------------------
 
@@ -370,7 +367,7 @@ def _covering_words(sub: Substitution, n: int, d: int = 0) -> tuple[bytes, ...]:
     covering words of n at d = 0, and for d <= m words whose d-th images
     are those, refused where those are."""
     m = next(m for m in itertools.count() if sub.length**m >= n)
-    sub._check_power(m, DEFAULT_MAX_LEN)
+    sub._check_power(m)
     pimgs = sub._iterate(m - d)
     return tuple(pimgs[u] + pimgs[v] for u, v in sorted(sub._pairs))
 

@@ -246,12 +246,12 @@ def load_json(text: str):
         try:
             with open(text, "r", encoding="utf-8") as handle:
                 return json.load(handle)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise DomainError(f"cannot read JSON file {text}: {exc}") from None
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
             return json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"malformed inline JSON: {exc}") from None
     raise DomainError(f"expected a JSON file or inline JSON object, got {text!r}")

@@ -269,6 +269,54 @@ class TestImage:
         assert result.stderr == f"error: {message.format(tmp=tmp_path)}\n"
 
 
+BIG_K = '{"kind": "toeplitz", "k": ' + "1" * 5000 + ', "C0": "0", "C1": "1"}'
+DEEP = '{"kind": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
+class TestUndecodableJson:
+    """Payloads the json module refuses past the JSON grammar: an integer
+    over Python's digit limit and nesting over the recursion limit.  The
+    prefix is the loader's; the rest of the line is Python's text."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(BIG_K, id="digits", marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this Python has no integer digit limit",
+            )),
+            pytest.param(DEEP, id="depth"),
+        ],
+    )
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+    def test_error_line(self, runner, tmp_path, text, inline):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        cert = text if inline else str(path)
+        result = invoke(runner, "verify-cert", "--sub", TOEPLITZ_SPEC, "--cert", cert)
+        assert_input_error(result)
+        prefix = "malformed inline JSON: " if inline else f"cannot read JSON file {path}: "
+        assert result.stderr.startswith("error: " + prefix)
+        assert result.stderr.count("\n") == 1
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command, option, text",
+        [
+            ("verify-cert", "--cert", "Certificate JSON file or inline JSON object."),
+            ("derive", "--rule", "Rule JSON file, inline JSON object or 'oxtoby'."),
+            ("image", "--rule", "Rule JSON file, inline JSON object or 'oxtoby'."),
+            ("preimage", "--rule", "Rule JSON file, inline JSON object or 'oxtoby'."),
+        ],
+    )
+    def test_json_options_name_every_input(self, runner, command, option, text):
+        result = invoke(runner, command, "--help")
+        assert result.exit_code == 0
+        # click may wrap the help column: compare with whitespace collapsed
+        assert f"{option} TEXT {text} [required]" in " ".join(result.output.split())
+
+
 class TestPreimage:
     def test_two_preimages(self, runner):
         result = invoke(runner, "preimage", "--rule", "oxtoby", "--word", "0100")

@@ -316,6 +316,18 @@ class TestMorseVerification:
         assert not verdict.accepted
         assert verdict.failure_reason == "no_phase"
 
+    def test_two_certificate_tiles_are_no_run(self):
+        """Window 01.10 holds the tiles 01 and 10 at phase 0: both are
+        certificate blocks, but two tiles are too short a run to parse."""
+        source = window_source("0110", 2)
+        verdicts = (
+            verify_morse_certificate(source, mcert(1, "01", "10", "01", "10"), 6),
+            verify_toeplitz_certificate(source, tcert(1, "01", "10"), 6),
+        )
+        for verdict in verdicts:
+            assert (verdict.accepted, verdict.failure_reason) == (False, "no_phase")
+            assert verdict.detail == "window[0]"
+
     def test_foreign_carriers_fail_membership(self):
         source = window_source("0" * 10, 5)
         verdict = verify_morse_certificate(source, mcert(1, "01", "10", "00", "11"), 6)
@@ -553,6 +565,26 @@ class TestSearches:
             search_toeplitz_certificate(morse, -1)
         with pytest.raises(RangeError):
             search_morse_certificate(morse, -1)
+
+    def test_a_source_with_nothing_to_parse_is_refused(self):
+        empty = ExplicitSource(BINARY, ())
+        with pytest.raises(DomainError, match="no window and no 128-block to check"):
+            verify_toeplitz_certificate(empty, tcert(1, "01", "00"))
+        with pytest.raises(DomainError, match="no window and no 12-block to check"):
+            verify_morse_certificate(empty, mcert(1, "01", "10", "01", "10"), 6)
+        assert search_toeplitz_certificate(empty, 3) is None
+        assert search_morse_certificate(empty, 3) is None
+
+    def test_searches_skip_scales_with_nothing_to_parse(self, toeplitz):
+        """Blocks of length 1 but none of length 2R = 64: scale 0 has no
+        candidate, and scale 1 parses the least 128-block."""
+        blocks = {n: toeplitz.language(n) for n in (1, 2, 128)}
+        source = ExplicitSource(BINARY, (), blocks)
+        with pytest.raises(DomainError):
+            verify_toeplitz_certificate(source, tcert(0, "0", "1"))
+        cert = search_toeplitz_certificate(source, 1)
+        assert cert == tcert(1, "01", "00")
+        assert verify_toeplitz_certificate(source, cert).accepted
 
     def test_span_cap(self, morse):
         """A window without blocks tries every k, so the search meets the

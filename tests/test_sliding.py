@@ -27,6 +27,7 @@ from morsetoeplitz import (
     rule_from_json,
     rule_to_json,
 )
+from morsetoeplitz import sliding
 from morsetoeplitz.words import Window, parse_window
 
 
@@ -35,19 +36,12 @@ def all_binary_words(n):
         yield Word(BINARY, bytes((x >> i) & 1 for i in range(n)))
 
 
-def dfs_preimages(rule, w, cap):
-    """Depth-first enumeration with early filtering, one cap unit per
-    letter tried: the oracle for the frontier enumeration."""
+def dfs_preimages(rule, w):
+    """Depth-first enumeration with early filtering, uncapped: the oracle
+    for the frontier enumeration."""
     width = rule.width
     target = w.letters
     results = set()
-    budget = cap
-
-    def spend():
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise CapacityError(f"preimage enumeration exceeded cap {cap}")
 
     def extend(prefix):
         pos = len(prefix) - width + 1
@@ -55,21 +49,13 @@ def dfs_preimages(rule, w, cap):
             results.add(Word(rule.input_alphabet, prefix))
             return
         for c in range(rule.input_alphabet.size):
-            spend()
             cand = prefix + bytes([c])
             value = rule.table.get(cand[pos : pos + width])
             if value is not None and value[0] == target[pos]:
                 extend(cand)
 
-    def seed(prefix):
-        if len(prefix) == width - 1:
-            extend(prefix)
-            return
-        for c in range(rule.input_alphabet.size):
-            spend()
-            seed(prefix + bytes([c]))
-
-    seed(b"")
+    for seed in itertools.product(range(rule.input_alphabet.size), repeat=width - 1):
+        extend(bytes(seed))
     return results
 
 
@@ -239,10 +225,6 @@ class TestPreimages:
                 for x in preimage_blocks(oxtoby, w):
                     assert apply_to_word(oxtoby, x) == w
 
-    def test_cap_is_enforced(self, oxtoby):
-        with pytest.raises(CapacityError):
-            preimage_blocks(oxtoby, BINARY.word("0" * 12), cap=4)
-
     def test_alphabet_mismatch(self, oxtoby):
         with pytest.raises(DomainError):
             preimage_blocks(oxtoby, Alphabet.from_names("012").word("01"))
@@ -260,25 +242,7 @@ class TestPreimages:
         for _ in range(200):
             rule = random_rule(rng)
             w = random_word(rng, rule, 8)
-            cap = rng.choice((10, 50, 200, 1 << 20))
-            try:
-                expected = dfs_preimages(rule, w, cap)
-            except CapacityError:
-                with pytest.raises(CapacityError):
-                    preimage_blocks(rule, w, cap)
-                continue
-            assert preimage_blocks(rule, w, cap) == expected
-
-    def test_cap_counts_every_letter_tried(self):
-        rng = random.Random(12)
-        for _ in range(40):
-            rule = random_rule(rng)
-            w = random_word(rng, rule, 6)
-            fits = (c for c in itertools.count() if _fits(dfs_preimages, rule, w, c))
-            need = next(fits)
-            assert _fits(preimage_blocks, rule, w, need)
-            if need:
-                assert not _fits(preimage_blocks, rule, w, need - 1)
+            assert preimage_blocks(rule, w) == dfs_preimages(rule, w)
 
     def test_width_one_rules(self):
         swap = LocalRule(BINARY, BINARY, 0, 0, {b"\x00": b"\x01", b"\x01": b"\x00"})
@@ -286,12 +250,69 @@ class TestPreimages:
         assert {w.text for w in pre} == {"01"}
 
 
-def _fits(enumerate_fibre, rule, w, cap):
-    try:
-        enumerate_fibre(rule, w, cap)
-    except CapacityError:
-        return False
-    return True
+def first_windows_rule(count):
+    """A width-2 rule over 4 letters sending its first ``count`` windows to 0
+    and undefined elsewhere: the fibre of "0" is those windows."""
+    keys = [bytes(t) for t in itertools.product(range(4), repeat=2)][:count]
+    table = {key: b"\0" for key in keys}
+    return LocalRule(Alphabet.from_names("0123"), BINARY, 0, 1, table, frozenset(keys))
+
+
+class TestPreimageCaps:
+    """A fibre may hold as many letters as two words of ``DEFAULT_MAX_LEN``
+    letters, and the forward pass as many states; no word may be longer."""
+
+    def test_fibre_at_the_cap_is_answered_and_one_word_more_refused(self, monkeypatch):
+        monkeypatch.setattr(sliding, "DEFAULT_MAX_LEN", 8)
+        zero = BINARY.word("0")
+        assert len(preimage_blocks(first_windows_rule(8), zero)) == 8  # 16 letters
+        with pytest.raises(CapacityError) as err:
+            preimage_blocks(first_windows_rule(9), zero)
+        assert str(err.value) == "preimage fibre exceeds cap 16 letters"
+
+    def test_empty_word_fibre_is_every_seed(self, monkeypatch):
+        monkeypatch.setattr(sliding, "DEFAULT_MAX_LEN", 2)
+        four, five = (Alphabet.from_names(names) for names in ("0123", "01234"))
+        fibre = preimage_blocks(projection_rule(four, 0, 1), four.word(""))
+        assert {w.text for w in fibre} == set("0123")  # 4 letters
+        # 5 words of 1 letter, and 4 words of 2 letters
+        for rule in (projection_rule(five, 0, 1), projection_rule(BINARY, 0, 2)):
+            with pytest.raises(CapacityError, match="fibre exceeds cap 4 letters"):
+                preimage_blocks(rule, rule.output_alphabet.word(""))
+
+    def test_words_longer_than_the_cap_are_refused_up_front(self, oxtoby, monkeypatch):
+        monkeypatch.setattr(sliding, "DEFAULT_MAX_LEN", 8)
+        assert len(preimage_blocks(oxtoby, BINARY.word("0" * 7))) == 2
+        with pytest.raises(CapacityError) as err:
+            preimage_blocks(oxtoby, BINARY.word("0" * 8))
+        assert str(err.value) == "preimage words of 9 letters exceed cap 8"
+
+    def test_forward_pass_keeps_at_most_two_states_per_cap_letter(self, monkeypatch):
+        # three states stay live letter after letter, and none emits a 1
+        keys = (b"\0\0\0", b"\0\1\0", b"\1\0\1")
+        table = {key: b"\0" for key in keys}
+        rule = LocalRule(BINARY, BINARY, 0, 2, table, frozenset(keys))
+        monkeypatch.setattr(sliding, "DEFAULT_MAX_LEN", 9)
+        assert preimage_blocks(rule, BINARY.word("000001")) == set()  # 18 states
+        with pytest.raises(CapacityError) as err:
+            preimage_blocks(rule, BINARY.word("0000001"))  # 21 states
+        assert str(err.value) == "preimage search keeps over 18 states"
+
+    def test_constant_rule_fibre_is_refused(self, monkeypatch):
+        table = {key: "0" for key in ("00", "01", "10", "11")}
+        rule = rule_from_json(
+            {"memory": 0, "anticipation": 1, "input": "01", "output": "01", "table": table}
+        )
+        # 2**16 words of 16 letters fill the cap; 2**17 of 17 pass it
+        assert len(preimage_blocks(rule, BINARY.word("0" * 15))) == 1 << 16
+        for n in (16, 20):
+            with pytest.raises(CapacityError, match="fibre exceeds cap 2097152 letters"):
+                preimage_blocks(rule, BINARY.word("0" * n))
+        # 256 prefixes pass a cap of 128 before the last letter: the counts
+        # saturate, and the fibre of 256 words of 8 letters is still refused
+        monkeypatch.setattr(sliding, "DEFAULT_MAX_LEN", 64)
+        with pytest.raises(CapacityError, match="fibre exceeds cap 128 letters"):
+            preimage_blocks(rule, BINARY.word("0" * 7))
 
 
 class TestImageLanguage:

@@ -92,11 +92,13 @@ class TestApplication:
         assert toeplitz.power(2).spec() == "0->0100;1->0101"
         assert morse.power(1) == morse
 
-    def test_power_bounds(self, morse):
+    def test_power_bounds(self, morse, monkeypatch):
         with pytest.raises(RangeError):
             morse.power(0)
+        monkeypatch.setattr(substitution, "DEFAULT_MAX_LEN", 8)
+        assert len(morse.power(3).images[0]) == 8
         with pytest.raises(CapacityError):
-            morse.power(4, max_len=8)
+            morse.power(4)
 
     def test_image_accessor(self, morse):
         assert morse.image(1).text == "10"
@@ -125,11 +127,11 @@ def first_seed(sub):
     return None
 
 
-def window_outcome(sub, seed, radius, max_len=1 << 20):
+def window_outcome(sub, seed, radius, max_len=DEFAULT_MAX_LEN):
     """Letters of the library's window and of the oracle's, or their
-    CapacityError texts."""
+    CapacityError texts; the library's cap must be set to ``max_len``."""
     try:
-        win = sub.periodic_window(seed, radius, max_len=max_len)
+        win = sub.periodic_window(seed, radius)
         assert win.origin == radius
         got = win.word.letters
     except CapacityError as err:
@@ -183,7 +185,7 @@ class TestByteKernelsAgreeWithJoinOracle:
         assert tested >= 2
 
     @pytest.mark.parametrize("r", [2, 3, 5])
-    def test_window_cap_refuses_the_same_radii(self, r):
+    def test_window_cap_refuses_the_same_radii(self, r, monkeypatch):
         rng = random.Random(r)
         sub = random_substitution(rng, 3, r)
         while first_seed(sub) is None or first_seed(sub).period > 2:
@@ -196,6 +198,7 @@ class TestByteKernelsAgreeWithJoinOracle:
         while max_len < 200:
             max_len *= step
         max_len -= 1
+        monkeypatch.setattr(substitution, "DEFAULT_MAX_LEN", max_len)
         refused = 0
         for radius in range(1, 3 * max_len):
             got, want = window_outcome(sub, seed, radius, max_len)
