@@ -30,6 +30,53 @@ witness only with a strictly smaller start: the same (start, half length)
 tie-break as the plain double loop over starts and half lengths.  The sweep
 is quadratic in the word length, but each big-int step covers a machine
 word of starts at once.
+
+A word of at least ``_CORE_MIN`` letters that is no factor is swept only
+around its non-factor core.  Factors of a factor are factors, and no
+witness is a factor.  Let w have n letters, e = 1 for overlaps and e = 0
+for squares, and read "factor" through the renaming above.  Four monotone
+searches over the factor test give
+
+* f, the length of the longest factor prefix, and x1, the greatest a such
+  that X1 = w[x1 : f + 1] is no factor;
+* g, the least start of a factor suffix, x2 = g - 1, and y2, the least b
+  such that X2 = w[x2 : y2] is no factor.
+
+(*) A span w[a:b] that is no factor has b > f and a < g: it lies neither
+in the factor prefix w[:f] nor in the factor suffix w[g:].
+
+Lemma.  If g > f - e, every witness of half h at s has x1 < s + h < y2 - e
+and h < y2 - x1.
+
+Proof.  Let m = s + h.  By (*) the witness has m + h + e > f and s < g.  Its
+two copies A = w[s : m + e] and B = w[m : m + h + e] are the same word, so
+both are factors or neither is.
+
+(i) Both are factors.  B ends past f, so m <= x1 would put X1 in B; A
+starts before g, so m + e >= y2 would put X2 in A.  So x1 < m < y2 - e.  A
+in the prefix (m + e <= f) and B in the suffix (m >= g) would give
+g <= f - e, which is excluded.  If A leaves the prefix, it ends past f and
+does not hold X1, so s > x1 and h = m - s < y2 - x1.  If B leaves the
+suffix, it starts at m <= x2 and does not hold X2, so m + h + e < y2 and
+h < y2 - m < y2 - x1.
+
+(ii) Neither is a factor.  By (*) for A and B, f - e < m <= x2 < y2.  So
+x1 <= f < m when e = 0.  When e = 1 the copies overlap in w[m], and
+w[s] = w[m] = w[m + h].  Then m = x1 = f would make the letter w[f] no
+factor although it equals w[s] in the factor prefix, and m = x2 = y2 - 1
+would do the same with w[m + h] in the factor suffix.  So x1 < m < y2 - e.
+If s <= x1, A holds X1, so B holds its copy at x1 + h, and (*) gives
+x1 + h < g, so h <= x2 - x1.  Otherwise h = m - s < m - x1 <= x2 - x1.
+Both are less than y2 - x1.  []
+
+So with top = y2 - x1 every witness lies in w[x1 - top : y2 + top] and has
+half less than top: the sweep runs on that window alone, with halves
+capped at top, and its starts are shifted back by the window's start.  That
+keeps the (start, half length) order.  When g <= f - e, for a marked letter
+other than 0 and 1, and below ``_CORE_MIN`` letters, the sweep runs on the
+whole word.  The searches double and then halve, so each takes about
+2 log2 k factor tests of at most 2k letters for a result k, which makes the
+window cheap to find when the core is short and the word is long.
 """
 
 from __future__ import annotations
@@ -37,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .substitution import MORSE, TOEPLITZ, _is_factor
+from .substitution import MORSE, TOEPLITZ, Substitution, _is_factor
 from .words import _SWAP01, Word
 
 OVERLAP_KIND = "overlap_BBb"
@@ -45,6 +92,12 @@ EVEN_SQUARE_KIND = "even_square_BB"
 
 #: Words longer than this are refused by the scanners.
 DEFAULT_SCAN_CAP = 1 << 16
+
+# Words shorter than this are swept whole.  The searches of ``_core`` take
+# about 0.05 ms, as long as the whole sweep of a 64-letter word, and a word
+# with witnesses all along, such as a random one, has the whole word for its
+# window; from about 1,024 letters they cost under 5% of a sweep.
+_CORE_MIN = 1 << 10
 
 # digit tables for bytes.translate: plane j maps a letter to bit j of its code
 _BIT_TABLES = tuple(bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8))
@@ -90,13 +143,13 @@ def _plane(data: bytes, table: bytes) -> int:
 
 
 def _least_repeat(
-    data: bytes, extra: int, zero: int | None = None
+    data: bytes, extra: int, zero: int | None, cap: int
 ) -> tuple[int, int] | None:
     """Least (start, half) of a factor of length 2*half + extra with period
-    half; with ``zero`` set, only those whose first half holds evenly many
-    ``zero`` letters count."""
+    half <= cap; with ``zero`` set, only those whose first half holds evenly
+    many ``zero`` letters count."""
     n = len(data)
-    top = (n - extra) // 2
+    top = min((n - extra) // 2, cap)
     if top < 1:
         return None
     planes = [_plane(data, _BIT_TABLES[j]) for j in range(max(data).bit_length())]
@@ -137,12 +190,61 @@ def _least_repeat(
     return best
 
 
+def _least(ok, limit: int) -> int:
+    """The least k in [1, limit] with ok(k), for ok monotone and true at
+    limit: doubling, then halving, in about 2 log2 k calls."""
+    lo, hi = 0, 1
+    while hi < limit and not ok(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, limit)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _core(target: Substitution, probe: bytes, extra: int) -> tuple[int, int, int] | None:
+    """(lo, hi, top): every witness of a non-factor ``probe`` lies in
+    probe[lo:hi] with half at most top; None when the lemma does not apply."""
+    n = len(probe)
+
+    def outside(i: int, j: int) -> bool:
+        return not _is_factor(target, probe[i:j])
+
+    f = _least(lambda k: outside(0, k), n) - 1
+    g = n + 1 - _least(lambda k: outside(n - k, n), n)
+    if g <= f - extra:
+        return None
+    x1 = f + 1 - _least(lambda k: outside(f + 1 - k, f + 1), f + 1)
+    x2 = g - 1
+    y2 = x2 + _least(lambda k: outside(x2, x2 + k), n - x2)
+    top = y2 - x1
+    return max(0, x1 - top), min(n, y2 + top), top
+
+
+def _scan(
+    target: Substitution, probe: bytes | None, data: bytes, extra: int,
+    zero: int | None = None,
+) -> tuple[int, int] | None:
+    """Least witness in ``data``; ``probe`` is ``data`` renamed into the
+    letters of ``target``, or None where no factor test applies."""
+    lo, hi, top = 0, len(data), len(data)
+    if probe is not None:
+        if _is_factor(target, probe):
+            return None
+        if len(data) >= _CORE_MIN:
+            lo, hi, top = _core(target, probe, extra) or (lo, hi, top)
+    hit = _least_repeat(data[lo:hi], extra, zero, top)
+    return None if hit is None else (hit[0] + lo, hit[1])
+
+
 def find_overlap(w: Word, max_len: int = DEFAULT_SCAN_CAP) -> PatternWitness | None:
     """First overlap BBb in the word, or None; works over any alphabet."""
     _check_scan_len(w, max_len)
-    if _is_factor(MORSE, w.letters):
-        return None
-    hit = _least_repeat(w.letters, 1)
+    hit = _scan(MORSE, w.letters, w.letters, 1)
     return None if hit is None else PatternWitness(*hit, OVERLAP_KIND)
 
 
@@ -157,11 +259,9 @@ def find_even_square(
     _check_scan_len(w, max_len)
     if not 0 <= zero < w.alphabet.size:
         raise DomainError(f"marked letter {zero} not in alphabet {w.alphabet}")
-    if zero < 2 and _is_factor(
-        TOEPLITZ, w.letters.translate(_SWAP01) if zero else w.letters
-    ):
-        return None
-    hit = _least_repeat(w.letters, 0, zero)
+    data = w.letters
+    probe = None if zero > 1 else data.translate(_SWAP01) if zero else data
+    hit = _scan(TOEPLITZ, probe, data, 0, zero)
     return None if hit is None else PatternWitness(*hit, EVEN_SQUARE_KIND, zero)
 
 

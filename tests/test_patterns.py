@@ -345,3 +345,137 @@ class TestProvedFactors:
             assert loc(find_even_square(word, zero)) == loc(
                 _even_square_small(data, zero)
             ), (data, zero)
+
+
+class TestCore:
+    """Non-factors of at least ``_CORE_MIN`` letters are swept only around
+    their non-factor core; the whole-word sweep and the loop oracle must
+    give the same witness."""
+
+    @staticmethod
+    def sweep(data, extra, zero=None):
+        return patterns._least_repeat(data, extra, zero, len(data))
+
+    def agree(self, data, size=2):
+        word = Word(Alphabet.from_names("012"[:size]), data)
+        assert loc(find_overlap(word)) == self.sweep(data, 1), data
+        for zero in range(size):
+            assert loc(find_even_square(word, zero)) == self.sweep(data, 0, zero), (data, zero)
+
+    @staticmethod
+    def edited(rng, source, n):
+        """A slice of ``source`` with one to three planted repeats, flips,
+        insertions and deletions."""
+        at = rng.randrange(len(source) - n)
+        data = bytearray(source[at : at + n])
+        for _ in range(rng.randrange(1, 4)):
+            op, i = rng.randrange(4), rng.randrange(len(data))
+            if op == 0:
+                half = rng.randrange(1, 40)
+                i = min(i, len(data) - 2 * half - 1)
+                data[i + half : i + 2 * half + 1] = data[i : i + half + 1]
+            elif op == 1:
+                data[i] ^= 1
+            elif op == 2:
+                data.insert(i, rng.randrange(2))
+            else:
+                del data[i]
+        return bytes(data)
+
+    def test_edited_slices_match_the_whole_sweep(self, morse, toeplitz):
+        rng = random.Random(19)
+        m = morse.periodic_window(Seed(0, 0, 2), 4096).word.letters
+        t = toeplitz.periodic_window(Seed(0, 0, 2), 4096).word.letters
+        for n in (1024, 1500, 2048, 4000, 8000):
+            for source in (m, t, m.translate(patterns._SWAP01), t.translate(patterns._SWAP01)):
+                for _ in range(3):
+                    self.agree(self.edited(rng, source, n))
+
+    def test_edited_slices_match_the_loop_oracle(self, morse, toeplitz, monkeypatch):
+        monkeypatch.setattr(patterns, "_CORE_MIN", 0)
+        rng = random.Random(20)
+        m = morse.periodic_window(Seed(0, 0, 2), 512).word.letters
+        t = toeplitz.periodic_window(Seed(0, 0, 2), 512).word.letters
+        for _ in range(60):
+            for source in (m, t):
+                data = self.edited(rng, source, rng.randrange(40, 300))
+                word = binary(data)
+                assert loc(find_overlap(word)) == loc(_overlap_small(data)), data
+                for zero in (0, 1):
+                    assert loc(find_even_square(word, zero)) == loc(
+                        _even_square_small(data, zero)
+                    ), (data, zero)
+
+    def test_ternary_words(self, morse, toeplitz):
+        rng = random.Random(21)
+        m = morse.periodic_window(Seed(0, 0, 2), 2048).word.letters
+        t = toeplitz.periodic_window(Seed(0, 0, 2), 2048).word.letters
+        for source in (m, t):
+            for n in (1024, 3000):
+                data = bytearray(self.edited(rng, source, n))
+                for _ in range(rng.randrange(1, 3)):
+                    data[rng.randrange(len(data))] = 2
+                self.agree(bytes(data), 3)
+
+    def test_every_witness_lies_in_the_window(self, monkeypatch):
+        """The lemma of the module docstring, on every binary word of up to
+        12 letters, through the scanners' own path."""
+        monkeypatch.setattr(patterns, "_CORE_MIN", 0)
+        for n in range(13):
+            for data in all_binary(n):
+                word = binary(data)
+                assert loc(find_overlap(word)) == brute_overlap(data), data
+                for zero in (0, 1):
+                    assert loc(find_even_square(word, zero)) == brute_even_square(data, zero)
+                for target, extra, probe, zero in (
+                    (MORSE, 1, data, None),
+                    (TOEPLITZ, 0, data, 0),
+                    (TOEPLITZ, 0, data.translate(patterns._SWAP01), 1),
+                ):
+                    if patterns._is_factor(target, probe):
+                        continue
+                    core = patterns._core(target, probe, extra)
+                    if core is None:
+                        continue
+                    lo, hi, top = core
+                    for s in range(n):
+                        for h in range(1, (n - s - extra) // 2 + 1):
+                            span = data[s : s + 2 * h + extra]
+                            if span[: h + extra] != span[h:] or (
+                                zero is not None and span[:h].count(zero) % 2
+                            ):
+                                continue
+                            assert lo <= s and s + 2 * h + extra <= hi and h <= top, (
+                                data, s, h, core,
+                            )
+
+    def test_a_long_minimal_non_factor_sweeps_the_whole_word(self, morse):
+        """mu^k(00)0 is an overlap whose proper factors are Morse factors,
+        so at the end of a Morse slice it is the only minimal non-factor, the
+        factor prefix and suffix overlap, and the lemma does not apply."""
+        m = morse.periodic_window(Seed(0, 0, 2), 4096).word.letters
+        for k in (4, 9):
+            block = morse._iterate(k)[0] * 2
+            at = m.index(block, 1500)
+            data = m[at - 1500 : at + len(block)] + b"\0"
+            assert len(data) >= patterns._CORE_MIN
+            assert patterns._core(MORSE, data, 1) is None
+            assert loc(find_overlap(binary(data))) == (1500, 1 << k)
+            self.agree(data)
+
+    def test_the_crossover(self, morse, monkeypatch):
+        """One letter below ``_CORE_MIN`` the word is swept whole; at it the
+        sweep runs on the core's window."""
+        m = morse.periodic_window(Seed(0, 0, 2), 2048).word.letters
+        calls = []
+        core = patterns._core
+        monkeypatch.setattr(
+            patterns, "_core", lambda *args: calls.append(args) or core(*args)
+        )
+        for n in (patterns._CORE_MIN - 1, patterns._CORE_MIN):
+            data = bytearray(m[:n])
+            data[700:705] = data[695:700]
+            data = bytes(data)
+            calls.clear()
+            assert loc(find_overlap(binary(data))) == loc(_overlap_small(data))
+            assert len(calls) == (n == patterns._CORE_MIN)
