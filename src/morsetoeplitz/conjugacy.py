@@ -88,10 +88,6 @@ _TOKEN_SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz
 #: Token alphabet of Morse parses: 0 = C0, 1 = C1, a = C0', b = C1'.
 MORSE_TOKENS = Alphabet(("0", "1", "a", "b"))
 
-#: The six ordered token pairs that may appear in an accepted Morse parse,
-#: as identity indices: C0C1, C0C1', C1C0, C1C0', C0'C0, C1'C1.
-MORSE_ALLOWED_PAIRS = frozenset({(0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1)})
-
 
 # -- certificates ---------------------------------------------------------
 
@@ -527,7 +523,12 @@ class _Checker:
         its own letters are a factor of those, and 2R >= 6*span letters hold
         5 tiles at any phase, so a Morse run keeps 3 after trimming.  Every
         other window is evaluated on its own rows, cut from its word's, in
-        sorted order.  The counts change only at segment ends."""
+        sorted order.  The counts change only at segment ends.  A segment of
+        more than ``patterns.DEFAULT_SCAN_CAP`` (2**16) tiles is refused with
+        CapacityError, like every other over-cap scan.  A covering word of
+        2 * r**m letters holds one only when r**m > 2**15 * span, so, with
+        r**m <= DEFAULT_MAX_LEN, only for k <= 4 and images of tens of
+        thousands of letters."""
         kind, span, n, tiler = self.kind, self.span, 2 * self.radius, self.tiler
         suspects = {}  # letters -> (rows of their word, start)
         for w in range(len(self.labels), len(tiler.lengths)):
@@ -539,8 +540,7 @@ class _Checker:
                     lo = max(j + (p - 1) * span + 1, 0)
                     hi = min(j + (q + 1) * span - n, windows)
                     if lo < hi:
-                        word = Word(BINARY, letters)
-                        found = kind.pattern(word, max_len=len(letters))
+                        found = kind.pattern(Word(BINARY, letters))
                         for cut, sign in ((lo, 1), (hi, -1)):
                             step = steps.setdefault(cut, [0, 0])
                             step[0] += sign
@@ -589,15 +589,6 @@ def verify_morse_certificate(
     """Check a Morse certificate: unique phase, carrier parity with no
     overlap among C0/C1 tokens, and the nearest-neighbor gap rule."""
     return _verify(_MORSE, lang, cert, radius)
-
-
-def morse_identity_pairs(verdict: ParseVerdict) -> frozenset[tuple[int, int]]:
-    """All ordered adjacent identity pairs across the verdict's parses."""
-    pairs = set()
-    for entry in verdict.phases:
-        toks = entry.tokens.letters
-        pairs.update(zip(toks, toks[1:]))
-    return frozenset(pairs)
 
 
 # -- recoding -------------------------------------------------------------

@@ -31,10 +31,6 @@ class SeedError(Error):
     """A periodic seed is not admissible for the substitution."""
 
 
-class DegenerateError(Error):
-    """A construction collapsed below the minimum alphabet size."""
-
-
 class StateError(Error):
     """An operation was applied to data that has not passed verification."""
 

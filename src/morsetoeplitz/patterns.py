@@ -129,9 +129,9 @@ class PatternWitness:
         return False
 
 
-def _check_scan_len(w: Word, max_len: int) -> None:
-    if len(w) > max_len:
-        raise CapacityError(f"word of length {len(w)} exceeds scan cap {max_len}")
+def _check_scan_len(w: Word) -> None:
+    if len(w) > DEFAULT_SCAN_CAP:
+        raise CapacityError(f"word of length {len(w)} exceeds scan cap {DEFAULT_SCAN_CAP}")
 
 
 def _plane(data: bytes, table: bytes) -> int:
@@ -241,22 +241,20 @@ def _scan(
     return None if hit is None else (hit[0] + lo, hit[1])
 
 
-def find_overlap(w: Word, max_len: int = DEFAULT_SCAN_CAP) -> PatternWitness | None:
+def find_overlap(w: Word) -> PatternWitness | None:
     """First overlap BBb in the word, or None; works over any alphabet."""
-    _check_scan_len(w, max_len)
+    _check_scan_len(w)
     hit = _scan(MORSE, w.letters, w.letters, 1)
     return None if hit is None else PatternWitness(*hit, OVERLAP_KIND)
 
 
-def find_even_square(
-    w: Word, zero: int = 0, max_len: int = DEFAULT_SCAN_CAP
-) -> PatternWitness | None:
+def find_even_square(w: Word, zero: int = 0) -> PatternWitness | None:
     """First square BB whose half contains evenly many ``zero`` letters.
 
     A count of zero occurrences counts as even, so any square over letters
     other than ``zero`` is already forbidden.
     """
-    _check_scan_len(w, max_len)
+    _check_scan_len(w)
     if not 0 <= zero < w.alphabet.size:
         raise DomainError(f"marked letter {zero} not in alphabet {w.alphabet}")
     data = w.letters

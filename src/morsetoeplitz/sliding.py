@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import CapacityError, DomainError, RangeError
 from .substitution import DEFAULT_MAX_LEN
@@ -119,25 +119,6 @@ def oxtoby_rule() -> LocalRule:
         bytes((u, v)): bytes([(u + v + 1) % 2]) for u in (0, 1) for v in (0, 1)
     }
     return LocalRule(BINARY, BINARY, 0, 1, table)
-
-
-def identity_rule(alphabet: Alphabet) -> LocalRule:
-    table = {bytes([a]): bytes([a]) for a in range(alphabet.size)}
-    return LocalRule(alphabet, alphabet, 0, 0, table)
-
-
-def projection_rule(
-    alphabet: Alphabet, memory: int, anticipation: int, offset: int = 0
-) -> LocalRule:
-    """Rule that outputs the window letter ``offset`` steps into the window."""
-    width = memory + anticipation + 1
-    if not 0 <= offset < width:
-        raise RangeError(f"offset {offset} outside window of width {width}")
-    table = {
-        bytes(win): bytes([win[offset]])
-        for win in product(range(alphabet.size), repeat=width)
-    }
-    return LocalRule(alphabet, alphabet, memory, anticipation, table)
 
 
 def _require_letter_valued(rule: LocalRule) -> None:
@@ -265,17 +246,6 @@ def preimage_blocks(rule: LocalRule, w: Word) -> set[Word]:
                 letters.append(c)
             fibre.add(Word(rule.input_alphabet, bytes(letters)))
     return fibre
-
-
-def image_language(rule: LocalRule, lang: Iterable[Word]) -> set[Word]:
-    """Image of a set of equal-length words under the sliding code."""
-    words = list(lang)
-    if not words:
-        return set()
-    lengths = {len(w) for w in words}
-    if len(lengths) != 1:
-        raise DomainError("image_language needs words of one common length")
-    return {apply_to_word(rule, w) for w in words}
 
 
 # -- serialization --------------------------------------------------------

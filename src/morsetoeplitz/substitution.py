@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from . import graphs
 from .errors import (
     CapacityError,
-    DegenerateError,
     DomainError,
     InsufficientWindowError,
     PrimitivityError,
@@ -269,8 +268,7 @@ class Substitution:
             raise RangeError("language needs n >= 1")
         if not self._primitive:
             raise PrimitivityError(
-                "language is defined for primitive substitutions only; analyze the "
-                "graph, or collapse equal images with identify_equal_images first"
+                "language is defined for primitive substitutions only; analyze the graph"
             )
 
     @functools.cached_property
@@ -282,39 +280,6 @@ class Substitution:
     def is_injective(self) -> bool:
         """Whether all letter images are distinct words."""
         return len({im.letters for im in self.images}) == len(self.images)
-
-    def identify_equal_images(self) -> tuple[Substitution, tuple[int, ...]]:
-        """Quotient letters with identical images until injective.
-
-        Returns the quotient substitution and the letter map from the
-        original alphabet onto the quotient alphabet.  Each class is named
-        after its smallest member's symbol.  Collapsing to a single letter
-        raises DegenerateError.
-        """
-        current = self
-        mapping = list(range(self.alphabet.size))
-        while True:
-            groups: dict[bytes, list[int]] = {}
-            for a, im in enumerate(current.images):
-                groups.setdefault(im.letters, []).append(a)
-            if all(len(g) == 1 for g in groups.values()):
-                return current, tuple(mapping)
-            classes = sorted(groups.values(), key=min)
-            if len(classes) < 2:
-                raise DegenerateError("all letters share one image word")
-            cls_of = [0] * current.alphabet.size
-            for ci, members in enumerate(classes):
-                for a in members:
-                    cls_of[a] = ci
-            alph = Alphabet(
-                tuple(current.alphabet.symbols[min(m)] for m in classes)
-            )
-            images = tuple(
-                Word(alph, bytes(cls_of[b] for b in current.images[min(m)].letters))
-                for m in classes
-            )
-            current = Substitution(alph, images)
-            mapping = [cls_of[x] for x in mapping]
 
     # -- desubstitution ---------------------------------------------------
 
@@ -522,13 +487,13 @@ def language_brute(
     n: int,
     letter: int = 0,
     blowup: int = 64,
-    max_len: int = DEFAULT_MAX_LEN,
 ) -> frozenset[Word]:
     """Slow oracle for ``language``: iterate on one letter, collect factors.
 
     The letter is iterated until its image is at least ``blowup * n`` long;
-    the n-factors of that single word are returned.  Kept deliberately
-    independent of the closure algorithm.
+    the n-factors of that single word are returned; an iterate longer than
+    ``DEFAULT_MAX_LEN`` is refused.  Kept deliberately independent of the
+    closure algorithm.
     """
     if n < 1:
         raise RangeError("language needs n >= 1")
@@ -539,8 +504,8 @@ def language_brute(
     target = blowup * n
     while len(w) < target:
         w = b"".join(imgs[a] for a in w)
-        if len(w) > max_len:
-            raise CapacityError(f"brute-force iterate exceeds cap {max_len}")
+        if len(w) > DEFAULT_MAX_LEN:
+            raise CapacityError(f"brute-force iterate exceeds cap {DEFAULT_MAX_LEN}")
     return frozenset(
         Word(sub.alphabet, w[i : i + n]) for i in range(len(w) - n + 1)
     )

@@ -2,9 +2,9 @@
 
 ``apply`` is the ``b"".join`` loop that ``sliding.apply_to_word`` replaced
 with window codes and one translation: one slice and one table lookup per
-window, raising at the first undefined window.  ``apply_code`` and
-``image_language`` build on it the way the library does.  They share no
-code with the kernel they check.
+window, raising at the first undefined window.  ``apply_code`` builds on
+it the way the library does.  They share no code with the kernel they
+check.
 """
 
 from __future__ import annotations
@@ -32,7 +32,3 @@ def apply_code(rule, data: bytes, origin: int) -> tuple[bytes, int]:
     if not 0 <= origin <= len(out):
         raise RangeError("origin leaves the window after coding")
     return out, origin
-
-
-def image_language(rule, blocks: list[bytes]) -> set[bytes]:
-    return {apply(rule, b) for b in blocks}

@@ -15,20 +15,18 @@ from morsetoeplitz import (
     BINARY,
     LocalRule,
     MORSE,
-    MORSE_ALLOWED_PAIRS,
     MorseCertificate,
     Seed,
     SubstitutionGraph,
     TOEPLITZ,
     ToeplitzCertificate,
+    apply_to_word,
     build_graph,
     derive_substitution,
     find_even_square,
     find_overlap,
-    image_language,
     language_brute,
     minimal_seed_period,
-    morse_identity_pairs,
     necessary_conditions,
     oxtoby_rule,
     parse_substitution,
@@ -45,6 +43,10 @@ from morsetoeplitz.cli import main
 
 THREE = parse_substitution("0->12;1->02;2->10")
 
+#: The six ordered token pairs that may appear in an accepted Morse parse,
+#: as identity indices: C0C1, C0C1', C1C0, C1C0', C0'C0, C1'C1.
+SIX_PAIRS = frozenset({(0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1)})
+
 
 def passed(number, text):
     print(f"[PASS] criterion {number:02d}: {text}")
@@ -58,6 +60,14 @@ def mcert(k, c0, c1, c0p, c1p):
     return MorseCertificate(
         k, BINARY.word(c0), BINARY.word(c1), BINARY.word(c0p), BINARY.word(c1p)
     )
+
+
+def identity_pairs(verdict):
+    """All ordered adjacent identity pairs across the verdict's parses."""
+    pairs = set()
+    for entry in verdict.phases:
+        pairs.update(itertools.pairwise(entry.tokens.letters))
+    return pairs
 
 
 def test_c01_displayed_morse_window():
@@ -108,7 +118,7 @@ def test_c04_two_to_one_factor_map():
     for n in range(1, 13):
         upstairs = MORSE.language(n + 1)
         downstairs = TOEPLITZ.language(n)
-        assert image_language(oxtoby, upstairs) == downstairs
+        assert {apply_to_word(oxtoby, w) for w in upstairs} == downstairs
         for word in downstairs:
             fibre = preimage_blocks(oxtoby, word)
             assert len(fibre) == 2
@@ -156,13 +166,11 @@ def test_c06_three_letter_certificate():
 def test_c07_morse_identity_certificate():
     verdict = verify_morse_certificate(MORSE, mcert(0, "0", "1", "0", "1"), 64)
     assert verdict.accepted
-    pairs = morse_identity_pairs(verdict)
-    assert pairs <= MORSE_ALLOWED_PAIRS
-    assert pairs == MORSE_ALLOWED_PAIRS
+    assert identity_pairs(verdict) == SIX_PAIRS
     for blocks in (("01", "10", "01", "10"), ("11", "00", "10", "01")):
         other = verify_morse_certificate(MORSE, mcert(1, *blocks))
         assert other.accepted
-        assert morse_identity_pairs(other) <= MORSE_ALLOWED_PAIRS
+        assert identity_pairs(other) <= SIX_PAIRS
     passed(7, "identity certificate accepted; parses use only the six pairs")
 
 

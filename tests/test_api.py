@@ -1,0 +1,38 @@
+"""The public surface: every exported name resolves, and nothing else is left."""
+
+import inspect
+
+import morsetoeplitz
+from morsetoeplitz import conjugacy, errors, sliding, substitution
+
+#: Helpers that no caller used, by the module that held them.
+REMOVED = {
+    errors: ("DegenerateError",),
+    sliding: ("identity_rule", "projection_rule", "image_language"),
+    conjugacy: ("morse_identity_pairs", "MORSE_ALLOWED_PAIRS"),
+}
+
+
+def test_every_export_resolves_once():
+    names = morsetoeplitz.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(morsetoeplitz, name) is not None, name
+
+
+def test_removed_helpers_are_gone():
+    for module, names in REMOVED.items():
+        for name in names:
+            assert name not in morsetoeplitz.__all__
+            assert not hasattr(morsetoeplitz, name), name
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(substitution.Substitution, "identify_equal_images")
+
+
+def test_size_caps_are_no_parameters():
+    for func in (
+        morsetoeplitz.find_overlap,
+        morsetoeplitz.find_even_square,
+        morsetoeplitz.language_brute,
+    ):
+        assert "max_len" not in inspect.signature(func).parameters, func.__name__

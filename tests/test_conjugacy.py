@@ -1,5 +1,6 @@
 """Certificate verification, recoding, searches, and induced substitutions."""
 
+import itertools
 import random
 import time
 
@@ -16,7 +17,6 @@ from morsetoeplitz import (
     ExplicitSource,
     InsufficientWindowError,
     LocalRule,
-    MORSE_ALLOWED_PAIRS,
     MORSE_TOKENS,
     MorseCertificate,
     ParseVerdict,
@@ -32,7 +32,6 @@ from morsetoeplitz import (
     certificate_from_json,
     certificate_to_json,
     derive_substitution,
-    morse_identity_pairs,
     necessary_conditions,
     parse_phases,
     parse_substitution,
@@ -44,8 +43,23 @@ from morsetoeplitz import (
     verify_morse_certificate,
     verify_toeplitz_certificate,
 )
+from morsetoeplitz import patterns
+from morsetoeplitz.conjugacy import _GAP_IDENTITY
 from morsetoeplitz.substitution import _image
 from morsetoeplitz.words import Window
+
+
+#: The six ordered token pairs that may appear in an accepted Morse parse,
+#: as identity indices: C0C1, C0C1', C1C0, C1C0', C0'C0, C1'C1.
+SIX_PAIRS = frozenset({(0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1)})
+
+
+def identity_pairs(verdict):
+    """All ordered adjacent identity pairs across the verdict's parses."""
+    pairs = set()
+    for entry in verdict.phases:
+        pairs.update(itertools.pairwise(entry.tokens.letters))
+    return pairs
 
 
 def tcert(k, c0, c1, alphabet=BINARY):
@@ -274,6 +288,19 @@ class TestToeplitzVerification:
         assert not verdict.accepted
         assert verdict.failure_reason == "token_pattern"
 
+    def test_segments_past_the_scan_cap_are_refused(self, toeplitz, monkeypatch):
+        """At k = 0 and R = 32 the sampled windows hold 64 tiles and the
+        covering words of L_64 128: a scan cap between them passes every
+        window and refuses the covering words' segment scan."""
+        cert = tcert(0, "0", "1")
+        monkeypatch.setattr(patterns, "DEFAULT_SCAN_CAP", 127)
+        text = "^word of length 128 exceeds scan cap 127$"
+        with pytest.raises(CapacityError, match=text) as info:
+            verify_toeplitz_certificate(toeplitz, cert)
+        assert "_failing_block" in {entry.name for entry in info.traceback}
+        monkeypatch.setattr(patterns, "DEFAULT_SCAN_CAP", 128)
+        assert verify_toeplitz_certificate(toeplitz, cert).accepted
+
 
 class TestMorseVerification:
     def test_identity_certificate_scale_zero(self, morse):
@@ -348,7 +375,7 @@ class TestMorseVerification:
 class TestIdentityPairs:
     def test_identity_parse_realizes_all_six_pairs(self, morse):
         verdict = verify_morse_certificate(morse, mcert(0, "0", "1", "0", "1"), 64)
-        assert morse_identity_pairs(verdict) == MORSE_ALLOWED_PAIRS
+        assert identity_pairs(verdict) == SIX_PAIRS
 
     def test_every_accepted_parse_stays_inside_the_six(self, morse):
         certs = [
@@ -359,12 +386,12 @@ class TestIdentityPairs:
         for cert in certs:
             verdict = verify_morse_certificate(morse, cert)
             assert verdict.accepted
-            assert morse_identity_pairs(verdict) <= MORSE_ALLOWED_PAIRS
+            assert identity_pairs(verdict) <= SIX_PAIRS
 
     def test_six_pair_table_contents(self):
-        assert MORSE_ALLOWED_PAIRS == frozenset(
-            {(0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1)}
-        )
+        # carrier letter, gap identity, carrier letter: C0 is 0 and C1 is 1
+        steps = [((a, g), (g, b)) for (a, b), g in _GAP_IDENTITY.items()]
+        assert {pair for step in steps for pair in step} == SIX_PAIRS
 
 
 class TestRecoding:

@@ -404,7 +404,7 @@ def test_explicit_rows_match_sliced_rows(case):
     assert_same_rows(source, cert.span, radius, covers, certs)
 
 
-def no_pattern(word, max_len=None):
+def no_pattern(word):
     return None
 
 

@@ -83,9 +83,13 @@ class TestFindOverlap:
         abc = Alphabet.from_names("012")
         assert loc(find_overlap(abc.word("0120120"))) == (0, 3)
 
-    def test_scan_cap(self):
-        with pytest.raises(CapacityError):
-            find_overlap(BINARY.word("0" * 20), max_len=10)
+    def test_scan_cap(self, morse, monkeypatch):
+        # the cap is read at call time: a word at the cap is answered
+        monkeypatch.setattr(patterns, "DEFAULT_SCAN_CAP", 64)
+        letters = morse.periodic_window(Seed(0, 0, 2), 64).word.letters
+        assert find_overlap(binary(letters[:64])) is None
+        with pytest.raises(CapacityError, match="^word of length 65 exceeds scan cap 64$"):
+            find_overlap(binary(letters[:65]))
 
     def test_exhaustive_small_binary(self):
         for n in range(15):
@@ -119,6 +123,13 @@ class TestFindEvenSquare:
     def test_marked_letter_validated(self):
         with pytest.raises(DomainError):
             find_even_square(BINARY.word("01"), zero=2)
+
+    def test_scan_cap(self, toeplitz, monkeypatch):
+        monkeypatch.setattr(patterns, "DEFAULT_SCAN_CAP", 64)
+        letters = toeplitz.periodic_window(Seed(0, 0, 2), 64).word.letters
+        assert find_even_square(binary(letters[:64])) is None
+        with pytest.raises(CapacityError, match="^word of length 65 exceeds scan cap 64$"):
+            find_even_square(binary(letters[:65]))
 
     def test_short_words(self):
         assert find_even_square(BINARY.word("")) is None

@@ -18,12 +18,9 @@ from morsetoeplitz import (
     Word,
     apply_code,
     apply_to_word,
-    identity_rule,
-    image_language,
     load_rule,
     oxtoby_rule,
     preimage_blocks,
-    projection_rule,
     rule_from_json,
     rule_to_json,
 )
@@ -34,6 +31,13 @@ from morsetoeplitz.words import Window, parse_window
 def all_binary_words(n):
     for x in range(1 << n):
         yield Word(BINARY, bytes((x >> i) & 1 for i in range(n)))
+
+
+def projection(alphabet, memory, anticipation, offset=0):
+    """The rule that outputs the window letter ``offset`` steps in."""
+    windows = itertools.product(range(alphabet.size), repeat=memory + anticipation + 1)
+    table = {bytes(win): bytes([win[offset]]) for win in windows}
+    return LocalRule(alphabet, alphabet, memory, anticipation, table)
 
 
 def dfs_preimages(rule, w):
@@ -91,14 +95,10 @@ class TestLocalRule:
                 assert oxtoby.lookup(bytes((u, v))) == bytes([(u + v + 1) % 2])
 
     def test_identity_and_projection(self):
-        ident = identity_rule(BINARY)
+        ident = projection(BINARY, 0, 0)
         assert apply_to_word(ident, BINARY.word("0110")).text == "0110"
-        last = projection_rule(BINARY, 0, 1, offset=1)
+        last = projection(BINARY, 0, 1, offset=1)
         assert apply_to_word(last, BINARY.word("0110")).text == "110"
-
-    def test_projection_offset_validated(self):
-        with pytest.raises(RangeError):
-            projection_rule(BINARY, 0, 1, offset=2)
 
     def test_total_rule_must_cover_every_window(self):
         with pytest.raises(DomainError):
@@ -147,7 +147,7 @@ class TestLocalRule:
 
     def test_rules_differing_in_their_table_only_are_unequal(self):
         swap = LocalRule(BINARY, BINARY, 0, 0, {b"\x00": b"\x01", b"\x01": b"\x00"})
-        ident = identity_rule(BINARY)
+        ident = projection(BINARY, 0, 0)
         assert swap != ident
         assert len({swap, ident}) == 2
 
@@ -168,13 +168,13 @@ class TestApply:
         assert out.text == ".010001010100010"
 
     def test_memory_shortens_on_the_left(self):
-        first = projection_rule(BINARY, 1, 0, offset=1)
+        first = projection(BINARY, 1, 0, offset=1)
         win = Window(BINARY.word("0110"), 2)
         out = apply_code(first, win)
         assert (out.start, out.text) == (-1, "1.10")
 
     def test_origin_must_survive(self):
-        first = projection_rule(BINARY, 1, 0, offset=1)
+        first = projection(BINARY, 1, 0, offset=1)
         with pytest.raises(RangeError):
             apply_code(first, Window(BINARY.word("0110"), 0))
 
@@ -273,10 +273,10 @@ class TestPreimageCaps:
     def test_empty_word_fibre_is_every_seed(self, monkeypatch):
         monkeypatch.setattr(sliding, "DEFAULT_MAX_LEN", 2)
         four, five = (Alphabet.from_names(names) for names in ("0123", "01234"))
-        fibre = preimage_blocks(projection_rule(four, 0, 1), four.word(""))
+        fibre = preimage_blocks(projection(four, 0, 1), four.word(""))
         assert {w.text for w in fibre} == set("0123")  # 4 letters
         # 5 words of 1 letter, and 4 words of 2 letters
-        for rule in (projection_rule(five, 0, 1), projection_rule(BINARY, 0, 2)):
+        for rule in (projection(five, 0, 1), projection(BINARY, 0, 2)):
             with pytest.raises(CapacityError, match="fibre exceeds cap 4 letters"):
                 preimage_blocks(rule, rule.output_alphabet.word(""))
 
@@ -318,15 +318,8 @@ class TestPreimageCaps:
 class TestImageLanguage:
     def test_oxtoby_maps_morse_onto_toeplitz(self, morse, toeplitz, oxtoby):
         for n in range(1, 10):
-            image = image_language(oxtoby, morse.language(n + 1))
+            image = {apply_to_word(oxtoby, w) for w in morse.language(n + 1)}
             assert image == toeplitz.language(n)
-
-    def test_empty_language(self, oxtoby):
-        assert image_language(oxtoby, []) == set()
-
-    def test_mixed_lengths_rejected(self, oxtoby):
-        with pytest.raises(DomainError):
-            image_language(oxtoby, [BINARY.word("010"), BINARY.word("01")])
 
 
 SYMBOLS = tuple(chr(0x4E00 + i) for i in range(255))
@@ -403,9 +396,6 @@ class TestKernelAgreesWithJoinOracle:
                     if isinstance(got, Window):
                         got = got.word.letters, got.origin
                     assert got == outcome(oracle.apply_code, rule, data, origin)
-            same = [w for w in words if len(w) == width]
-            image = image_language(rule, [Word(rule.input_alphabet, w) for w in same])
-            assert {w.letters for w in image} == oracle.image_language(rule, same)
 
     @pytest.mark.parametrize("size,width", KERNEL_SHAPES)
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -425,9 +415,6 @@ class TestKernelAgreesWithJoinOracle:
         assert outcome(oracle.apply, rule, data) == ("DomainError", text)
         assert outcome(apply_to_word, rule, word) == ("DomainError", text)
         assert outcome(apply_code, rule, Window(word, 0)) == ("DomainError", text)
-        clean = data[:width] if where == "last" else data[-width:]
-        blocks = [Word(rule.input_alphabet, b) for b in (clean, hole)]
-        assert outcome(image_language, rule, blocks) == ("DomainError", text)
 
 
 class TestSerialization:

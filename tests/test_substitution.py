@@ -11,7 +11,6 @@ import pytest
 import substitution_oracle as oracle
 from morsetoeplitz import (
     CapacityError,
-    DegenerateError,
     DomainError,
     InsufficientWindowError,
     PrimitivityError,
@@ -265,10 +264,7 @@ class TestSystemSeeds:
         assert sorted(w.text for w in sub.language(2)) == ["01", "10"]
 
     def test_non_primitive_is_refused(self):
-        text = (
-            "language is defined for primitive substitutions only; analyze the "
-            "graph, or collapse equal images with identify_equal_images first"
-        )
+        text = "language is defined for primitive substitutions only; analyze the graph"
         with pytest.raises(PrimitivityError) as info:
             system_seeds(parse_substitution("0->11;1->00"))
         assert str(info.value) == text
@@ -484,21 +480,6 @@ class TestStructure:
         assert morse.is_injective()
         assert toeplitz.is_injective()
         assert not parse_substitution("0->01;1->01").is_injective()
-
-    def test_identify_equal_images(self):
-        sub = parse_substitution("0->01;1->10;2->01")
-        quotient, mapping = sub.identify_equal_images()
-        assert quotient.spec() == "0->01;1->10"
-        assert mapping == (0, 1, 0)
-
-    def test_identify_on_injective_is_identity(self, morse):
-        quotient, mapping = morse.identify_equal_images()
-        assert quotient == morse
-        assert mapping == (0, 1)
-
-    def test_identify_refuses_total_collapse(self):
-        with pytest.raises(DegenerateError):
-            parse_substitution("0->01;1->01").identify_equal_images()
 
 
 class TestDesubstitute:
