@@ -64,6 +64,7 @@ from .errors import (
 from .patterns import find_even_square, find_overlap
 from .sliding import LocalRule
 from .substitution import (
+    DEFAULT_MAX_LEN,
     MORSE,
     TOEPLITZ,
     Seed,
@@ -271,6 +272,10 @@ class ExplicitSource:
         for n, blocks in self.blocks_by_length.items():
             if any(len(b) != n for b in blocks):
                 raise DomainError(f"a block listed under length {n} has another")
+        words = [w.word for w in self.windows]
+        words += [b for blocks in self.blocks_by_length.values() for b in blocks]
+        if any(w.alphabet != self.alphabet for w in words):
+            raise DomainError(f"a window or block is not over alphabet {self.alphabet}")
 
     def blocks(self, n: int) -> frozenset[Word] | None:
         return self.blocks_by_length.get(n)
@@ -313,6 +318,8 @@ def parse_phases(
     ordered = list(dict.fromkeys(blocks))
     if len(ordered) < 2:
         raise DomainError("need at least two distinct blocks")
+    if any(b.alphabet != win.word.alphabet for b in ordered):
+        raise DomainError(f"a block is not over window alphabet {win.word.alphabet}")
     if any(len(b) != span for b in ordered):
         raise DomainError(f"all blocks must have length {span}")
     if len(ordered) > len(_TOKEN_SYMBOLS):
@@ -563,6 +570,8 @@ class _Checker:
 
 def _verify(kind: _Kind, lang, cert, radius: int | None) -> ParseVerdict:
     source = as_source(lang)
+    if cert.c0.alphabet != source.alphabet:
+        raise DomainError(f"certificate is not over alphabet {source.alphabet}")
     span = cert.span
     if radius is None:
         radius = 32 * span
@@ -651,18 +660,14 @@ def recode_morse(
 # -- searches -------------------------------------------------------------
 
 
-#: Largest block length a search tries.
-_MAX_SPAN = 1 << 16
-
-
 def _search(kind: _Kind, lang, kmax: int):
     if kmax < 0:
         raise RangeError("kmax must be >= 0")
+    if kmax >= DEFAULT_MAX_LEN.bit_length():
+        raise CapacityError(f"blocks of 2**{kmax} letters exceed cap {DEFAULT_MAX_LEN}")
     source = as_source(lang)
     for k in range(kmax + 1):
         span = 1 << k
-        if span > _MAX_SPAN:
-            raise CapacityError(f"2**{k} exceeds block cap {_MAX_SPAN}")
         words = {b.letters: b for b in source.blocks(span) or ()}
         checker = _Checker(kind, source, span, 32 * span)
         if not checker.tiler.words:  # no window and no 2R-block to parse

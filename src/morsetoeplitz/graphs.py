@@ -54,9 +54,6 @@ class SubstitutionGraph:
     def n(self) -> int:
         return len(self.arcs)
 
-    def has_arc(self, a: int, b: int) -> bool:
-        return self.arcs[a][b]
-
     def successors(self, a: int) -> list[int]:
         return [b for b, on in enumerate(self.arcs[a]) if on]
 

@@ -273,14 +273,6 @@ class WordReport:
     morse_factor: bool
     toeplitz_factor: bool
 
-    @property
-    def overlap_free(self) -> bool:
-        return self.overlap is None
-
-    @property
-    def toeplitz_admissible(self) -> bool:
-        return self.even_square is None
-
 
 def classify_word(w: Word) -> WordReport:
     """Run both scanners and both factor tests.

@@ -83,11 +83,6 @@ class Substitution:
         """The constant image length r."""
         return len(self.images[0])
 
-    def image(self, letter: int) -> Word:
-        if not 0 <= letter < self.alphabet.size:
-            raise DomainError(f"letter {letter} not in alphabet {self.alphabet}")
-        return self.images[letter]
-
     def spec(self) -> str:
         """Render in the ``a->w;b->w`` rule format accepted by parse_substitution."""
         return ";".join(
@@ -396,7 +391,9 @@ class _Levels:
     o in a key's image, so ``bytes.find`` over the images gives one code
     table per offset, and a phase whose offset holds no certificate tile
     is all code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it
-    is skipped.  ``words`` are as ``LanguageSource.level_words`` gives them."""
+    is skipped.  Only phases of at least 3 tiles are read, as no reader
+    parses a shorter run.  ``words`` are as ``LanguageSource.level_words``
+    gives them."""
 
     def __init__(self, images: tuple[bytes, ...], span: int, words: list[tuple]):
         self.span, self.size = span, len(images[0])
@@ -425,15 +422,18 @@ class _Levels:
         return self._expand(level)[lo - base : hi - base]
 
     def _phases(self, w: int, js):
-        """(phase, start, offset, keys) of word w at the phases js.  A phase
-        of fewer than 3 tiles reaches only depth 0 in ``_evaluate``, and
-        ``_candidates`` skips it."""
+        """(phase, start, offset, keys) of word w at those phases js that
+        hold at least 3 tiles, and none for a word shorter than 3 tiles: no
+        reader parses a shorter run."""
         _, keys, base, lo, hi = self.words[w]
         span, size, c = self.span, self.size, self.c
+        if hi - lo < 3 * span:
+            return
         for j in js:
             t0 = lo + (j - lo) % span
             q0, count = (t0 - base) // size, (hi - t0) // span
-            yield j, t0, j % size, keys[q0 : q0 + count * c : c]
+            if count >= 3:
+                yield j, t0, j % size, keys[q0 : q0 + count * c : c]
 
     def tiles(self, w: int) -> list[list[bytes]]:
         span, cut = self.span, {}
@@ -477,7 +477,7 @@ def _tile_tokens(
     rows = []
     for j, t0, _, keys in tiler._phases(0, range(span)):
         row = [tokens[key] for key in keys]
-        if len(row) >= 3 and None not in row:
+        if None not in row:
             rows.append((j, t0, bytes(row)))
     return rows
 

@@ -137,12 +137,6 @@ class Word:
             raise DomainError("complement is only defined over a two-letter alphabet")
         return Word(self.alphabet, self.letters.translate(_SWAP01))
 
-    def count(self, letter: int) -> int:
-        """Number of occurrences of a single letter."""
-        if not 0 <= letter < self.alphabet.size:
-            raise DomainError(f"letter {letter} not in alphabet {self.alphabet}")
-        return self.letters.count(letter)
-
 
 def _trusted_word(alphabet: Alphabet, letters: bytes) -> Word:
     """A Word that skips the letter check of ``Word.__post_init__``; only for
@@ -188,25 +182,6 @@ class Window:
     def stop(self) -> int:
         """Bilateral index one past the last letter."""
         return len(self.word) - self.origin
-
-    def at(self, i: int) -> int:
-        """Letter at bilateral index i."""
-        pos = self.origin + i
-        if not 0 <= pos < len(self.word):
-            raise RangeError(f"bilateral index {i} outside [{self.start}, {self.stop})")
-        return self.word.letters[pos]
-
-    def shift(self, j: int) -> Window:
-        """Move the origin by j: the letter formerly at index j now sits at 0."""
-        return Window(self.word, self.origin + j)
-
-    def restrict(self, lo: int, hi: int) -> Window:
-        """Sub-window covering bilateral indices [lo, hi); needs lo <= 0 <= hi."""
-        if not (self.start <= lo <= hi <= self.stop):
-            raise RangeError(f"[{lo}, {hi}) is not inside [{self.start}, {self.stop})")
-        if not lo <= 0 <= hi:
-            raise RangeError("a window must keep bilateral index 0 in range")
-        return Window(self.word[self.origin + lo : self.origin + hi], -lo)
 
     @property
     def text(self) -> str:

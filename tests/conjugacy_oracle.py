@@ -29,10 +29,8 @@ from morsetoeplitz.conjugacy import (
 )
 from morsetoeplitz.errors import CapacityError, RangeError
 from morsetoeplitz.patterns import find_even_square, find_overlap
+from morsetoeplitz.substitution import DEFAULT_MAX_LEN
 from morsetoeplitz.words import BINARY, Window, Word
-
-#: Largest block length a search tries, as in ``conjugacy``.
-MAX_SPAN = 1 << 16
 
 # nearest neighbor table: (left carrier, right carrier) -> (identity, block attr)
 _GAP_TABLE = {
@@ -230,15 +228,21 @@ def verify_morse_certificate(
     return ParseVerdict(True, tuple(entries), None, "morse", radius)
 
 
-def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
-    """Least certificate in (k, C0, C1) lexicographic order, or None."""
+def _check_kmax(kmax: int) -> None:
+    """Refuse kmax as ``conjugacy`` does: blocks of 2**kmax letters may not
+    pass the length cap."""
     if kmax < 0:
         raise RangeError("kmax must be >= 0")
+    if kmax >= DEFAULT_MAX_LEN.bit_length():
+        raise CapacityError(f"blocks of 2**{kmax} letters exceed cap {DEFAULT_MAX_LEN}")
+
+
+def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
+    """Least certificate in (k, C0, C1) lexicographic order, or None."""
+    _check_kmax(kmax)
     source = as_source(lang)
     for k in range(kmax + 1):
         span = 1 << k
-        if span > MAX_SPAN:
-            raise CapacityError(f"2**{k} exceeds block cap {MAX_SPAN}")
         radius = 32 * span
         blocks = sorted(source.blocks(span) or ())
         ref = source.sample_windows(radius)
@@ -259,13 +263,10 @@ def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
 
 def search_morse_certificate(lang, kmax: int) -> MorseCertificate | None:
     """Least certificate in (k, C0, C1, C0', C1') lexicographic order."""
-    if kmax < 0:
-        raise RangeError("kmax must be >= 0")
+    _check_kmax(kmax)
     source = as_source(lang)
     for k in range(kmax + 1):
         span = 1 << k
-        if span > MAX_SPAN:
-            raise CapacityError(f"2**{k} exceeds block cap {MAX_SPAN}")
         radius = 32 * span
         blocks = sorted(source.blocks(span) or ())
         ref = source.sample_windows(radius)

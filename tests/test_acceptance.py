@@ -134,7 +134,7 @@ def test_c05_preimage_dichotomy():
     for length in range(1, 7):
         for letters in itertools.product((0, 1), repeat=length):
             base = BINARY.word("".join(map(str, letters)))
-            even_zeros = base.count(0) % 2 == 0
+            even_zeros = base.letters.count(0) % 2 == 0
             fibre = preimage_blocks(oxtoby, base + base)
             assert len(fibre) == 2
             first, second = sorted(fibre)

@@ -493,6 +493,31 @@ class TestSearchCert:
         )
         assert result.exit_code == 2
 
+    def test_kmax_past_the_length_cap_is_refused_at_once(self, runner):
+        start = time.perf_counter()
+        result = invoke(
+            runner, "search-cert", "--kind", "toeplitz", "--sub", THREE_SPEC,
+            "--kmax", "21",
+        )
+        assert time.perf_counter() - start < 1
+        assert_input_error(result)
+        assert result.stderr == "error: blocks of 2**21 letters exceed cap 1048576\n"
+
+    def test_largest_kmax_stops_at_the_language_cap(self, runner):
+        """kmax 20 is accepted; Toeplitz has no Morse certificate up to
+        k = 12, and k = 13 needs language(8192), past its byte cap."""
+        start = time.perf_counter()
+        result = invoke(
+            runner, "search-cert", "--kind", "morse", "--sub", TOEPLITZ_SPEC,
+            "--kmax", "20",
+        )
+        assert time.perf_counter() - start < 10
+        assert_input_error(result)
+        assert result.stderr == (
+            "error: language(8192) could hold 201351168 bytes of blocks, "
+            "over cap 134217728\n"
+        )
+
 
 class TestAnalyze:
     def test_morse_json(self, runner):

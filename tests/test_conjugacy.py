@@ -43,7 +43,7 @@ from morsetoeplitz import (
     verify_morse_certificate,
     verify_toeplitz_certificate,
 )
-from morsetoeplitz import patterns
+from morsetoeplitz import conjugacy, patterns
 from morsetoeplitz.conjugacy import _GAP_IDENTITY
 from morsetoeplitz.substitution import _image
 from morsetoeplitz.words import Window
@@ -219,6 +219,12 @@ class TestParsePhases:
         with pytest.raises(CapacityError):
             parse_phases(win, words[:63], 3)
 
+    def test_blocks_must_share_the_window_alphabet(self, morse):
+        win = morse.periodic_window(Seed(0, 0, 2), 8)
+        abc = Alphabet.from_names("012")
+        with pytest.raises(DomainError, match="not over window alphabet 01"):
+            parse_phases(win, [abc.word("01"), abc.word("10")], 2)
+
 
 class TestToeplitzVerification:
     def test_identity_certificate(self, toeplitz):
@@ -282,6 +288,14 @@ class TestToeplitzVerification:
     def test_radius_must_hold_three_tiles(self, toeplitz):
         with pytest.raises(RangeError):
             verify_toeplitz_certificate(toeplitz, tcert(1, "01", "00"), 5)
+
+    def test_certificates_over_another_alphabet_are_refused(self, morse):
+        """Blocks over 012 that spell the identity certificate's bytes."""
+        abc = Alphabet.from_names("012")
+        with pytest.raises(DomainError, match="certificate is not over alphabet 01"):
+            verify_toeplitz_certificate(morse, tcert(0, "0", "1", abc))
+        with pytest.raises(DomainError, match="certificate is not over alphabet 01"):
+            verify_morse_certificate(morse, mcert(0, "0", "1", "0", "1", abc))
 
     def test_morse_system_rejects_toeplitz_certificates(self, morse):
         verdict = verify_toeplitz_certificate(morse, tcert(0, "0", "1"))
@@ -413,7 +427,9 @@ class TestRecoding:
         entry = verdict.phases[0]
         out = recode_morse(cert, verdict, 0)
         window = morse.periodic_window(Seed(0, 0, 2), 64)
-        assert out.text == window.restrict(entry.start, entry.start + len(entry.tokens)).text
+        lo = window.origin + entry.start
+        run = Window(window.word[lo : lo + len(entry.tokens)], -entry.start)
+        assert out.text == run.text
 
     def test_scale_one_morse_recode_matches_the_run(self, morse):
         cert = mcert(1, "01", "10", "01", "10")
@@ -421,8 +437,9 @@ class TestRecoding:
         entry = verdict.phases[0]
         out = recode_morse(cert, verdict, 0)
         window = morse.periodic_window(Seed(0, 0, 2), 64)
-        span = window.restrict(entry.start, entry.start + 2 * len(entry.tokens))
-        assert out.text == span.text
+        lo = window.origin + entry.start
+        run = Window(window.word[lo : lo + 2 * len(entry.tokens)], -entry.start)
+        assert out.text == run.text
 
     def test_three_letter_recode_lands_in_the_toeplitz_language(self, three_letter, toeplitz):
         cert = tcert(1, "21", "00", three_letter.alphabet)
@@ -613,15 +630,26 @@ class TestSearches:
         assert cert == tcert(1, "01", "00")
         assert verify_toeplitz_certificate(source, cert).accepted
 
-    def test_span_cap(self, morse):
-        """A window without blocks tries every k, so the search meets the
-        block cap at k = 17."""
+    def test_span_cap(self, morse, monkeypatch):
+        """A 32-letter window without blocks holds no phase of 3 tiles past
+        k = 3, so every later scale costs O(1) up to the largest kmax, 20.
+        A kmax whose blocks pass DEFAULT_MAX_LEN = 2**20 is refused before
+        any tiling."""
         source = ExplicitSource(BINARY, (morse.periodic_window(Seed(0, 0, 2), 16),))
+        searches = (search_toeplitz_certificate, search_morse_certificate)
         start = time.perf_counter()
-        with pytest.raises(CapacityError) as err:
-            search_toeplitz_certificate(source, 17)
-        assert str(err.value) == "2**17 exceeds block cap 65536"
-        assert time.perf_counter() - start < 5
+        for search in searches:
+            assert search(source, 20) is None
+        # O(1) per scale; a loop over every phase of every scale takes about 1 s
+        assert time.perf_counter() - start < 0.25
+        tiled = []
+        monkeypatch.setattr(conjugacy, "_Levels", lambda *args: tiled.append(args))
+        for lang, kmax in ((source, 21), (source, 10**9), (MORSE, 21)):
+            for search in searches:
+                with pytest.raises(CapacityError) as err:
+                    search(lang, kmax)
+                assert str(err.value) == f"blocks of 2**{kmax} letters exceed cap 1048576"
+        assert tiled == []
 
 
 class TestNecessaryConditions:
@@ -679,6 +707,14 @@ class TestSources:
         blocks = frozenset({BINARY.word("01"), BINARY.word("0110")})
         with pytest.raises(DomainError, match="listed under length 2"):
             ExplicitSource(BINARY, (), {2: blocks})
+
+    def test_explicit_words_over_another_alphabet_are_refused(self):
+        abc = Alphabet.from_names("012")
+        block = abc.word("0120" * 8)
+        with pytest.raises(DomainError, match="not over alphabet 01"):
+            ExplicitSource(BINARY, (), {32: frozenset({block})})
+        with pytest.raises(DomainError, match="not over alphabet 01"):
+            ExplicitSource(BINARY, (Window(abc.word("0101"), 2),))
 
     def test_junk_is_rejected(self):
         with pytest.raises(DomainError):

@@ -30,7 +30,7 @@ class TestConstruction:
     def test_from_arcs(self):
         g = SubstitutionGraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert g.n == 3
-        assert g.has_arc(0, 1) and not g.has_arc(1, 0)
+        assert g.arcs[0][1] and not g.arcs[1][0]
         assert g.successors(2) == [0]
 
     def test_needs_a_vertex(self):
@@ -126,7 +126,7 @@ class TestPowerSupport:
     def test_reachability_matches_power_images(self, morse, toeplitz, three_letter):
         for sub in (morse, toeplitz, three_letter):
             n = sub.alphabet.size
-            adj = [[b in set(sub.image(a).letters) for b in range(n)] for a in range(n)]
+            adj = [[b in set(sub.images[a].letters) for b in range(n)] for a in range(n)]
             cur = [[a == b for b in range(n)] for a in range(n)]
             for k in range(1, 5):
                 cur = [
@@ -135,7 +135,7 @@ class TestPowerSupport:
                 ]
                 pk = sub.power(k)
                 for a in range(n):
-                    support = set(pk.image(a).letters)
+                    support = set(pk.images[a].letters)
                     assert support == {b for b in range(n) if cur[a][b]}, (sub.spec(), k)
 
 

@@ -227,8 +227,8 @@ class TestWitnessReplay:
 class TestClassifyWord:
     def test_examples(self):
         r = classify_word(BINARY.word("0110"))
-        assert r.overlap is None and r.overlap_free
-        assert loc(r.even_square) == (1, 1) and not r.toeplitz_admissible
+        assert r.overlap is None
+        assert loc(r.even_square) == (1, 1)
         assert r.morse_factor is True
         assert r.toeplitz_factor is False
 

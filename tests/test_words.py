@@ -143,13 +143,6 @@ class TestWord:
         with pytest.raises(DomainError):
             Alphabet.from_names("012").word("012").complement()
 
-    def test_count(self):
-        w = BINARY.word("01101")
-        assert w.count(0) == 2
-        assert w.count(1) == 3
-        with pytest.raises(DomainError):
-            w.count(2)
-
 
 class TestWindow:
     def test_bilateral_indexing(self):
@@ -157,41 +150,12 @@ class TestWindow:
         assert win.start == -2
         assert win.stop == 2
         assert len(win) == 4
-        assert [win.at(i) for i in range(-2, 2)] == [0, 1, 1, 0]
-
-    def test_at_out_of_range(self):
-        win = Window(BINARY.word("0110"), 2)
-        with pytest.raises(RangeError):
-            win.at(2)
-        with pytest.raises(RangeError):
-            win.at(-3)
 
     def test_origin_bounds(self):
         # origin == len(word) is legal: all letters sit left of the point
         assert Window(BINARY.word("01"), 2).text == "01."
         with pytest.raises(RangeError):
             Window(BINARY.word("01"), 3)
-
-    def test_shift(self):
-        win = Window(BINARY.word("0110"), 2)
-        assert win.shift(1).at(0) == win.at(1)
-        assert win.shift(-2).start == 0
-
-    def test_restrict(self):
-        win = Window(BINARY.word("011010"), 3)
-        sub = win.restrict(-1, 2)
-        assert sub.text == "1.01"
-        assert sub.start == -1
-
-    def test_restrict_must_stay_inside(self):
-        win = Window(BINARY.word("0110"), 2)
-        with pytest.raises(RangeError):
-            win.restrict(-3, 1)
-
-    def test_restrict_must_keep_the_origin(self):
-        win = Window(BINARY.word("011010"), 3)
-        with pytest.raises(RangeError):
-            win.restrict(1, 3)
 
     def test_text_round_trip(self):
         win = parse_window("1001.0110", BINARY)
