@@ -34,11 +34,11 @@ certificate block occurs holds only code 0 and is skipped.  An explicit
 source, like a substitution whose length does not divide the span, is its
 own level at d = 0.  Searches derive candidates from the first word tiled
 (the first sampled window, else the least 2R-block), which any accepted
-certificate must parse: C0/C1 from the (carrier) tiles of a phase, C0'/C1'
-from its gaps by the neighbor table, open slots from the language blocks.
-As the derived set holds every certificate that can be accepted, verifying
-it in lexicographic order still returns the least certificate.  A scale
-with neither word is skipped, as verification there refuses the source.
+certificate must parse: C0/C1 are the two carrier tiles of a phase, C0'/C1'
+its gaps by the neighbor table.  When every phase holds 18 tiles or more, as
+on a substitution source, this set holds every certificate that can be
+accepted, so verifying it in lexicographic order returns the least one.  A
+scale with neither word is skipped, as verification there refuses it.
 
 ``derive_substitution`` runs the constructive direction: from a block rule
 realizing a conjugacy onto an r-fold self-similar image it builds the
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import product
 from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 from .errors import (
@@ -61,7 +60,7 @@ from .errors import (
     RangeError,
     StateError,
 )
-from .patterns import find_even_square, find_overlap
+from .patterns import _least, find_even_square, find_overlap
 from .sliding import LocalRule
 from .substitution import (
     DEFAULT_MAX_LEN,
@@ -449,31 +448,29 @@ def _segments(kind: _Kind, toks):
             letters = bytearray((letter,))
 
 
-def _candidates(kind: _Kind, rows: list[list[bytes]], blocks: set[bytes]) -> set:
-    """Block tuples that parse the reference window at some phase and
-    parity, given its rows of tiles: C0 and C1 hold the carrier tiles, each
-    gap fixes the slot the neighbor table names, and a slot no tile fixes
-    ranges over ``blocks``.  Carriers that hold one tile x read all 0
-    (C0 = x) or all 1 (C1 = x) whatever the other carrier is, so a run
-    needs at most two pattern scans, and the other carrier, unless a gap
-    fixes it, ranges over ``blocks`` once."""
+def _candidates(kind: _Kind, rows: list[list[bytes]]) -> set:
+    """Block tuples that parse the reference word at some phase and parity:
+    C0 and C1 are the two carrier tiles of a pattern-free run, and each gap
+    fixes the slot the neighbor table names.  A run yields a tuple only when
+    its tiles fix every slot, so no block is guessed.
+
+    Nothing accepted is lost when every phase holds 18 tiles or more (9
+    carriers at either parity), as the 64*span letters of a substitution's
+    first window do: an overlap-free binary word of 9 letters holds 00, 01,
+    10 and 11 (avoiding 00 or 11 allows 8 letters, 01 or 10 only 4), and one
+    of 4 letters with no even-zero square holds 0 and 1, as 11 and 0000 are
+    such squares.  So a pattern-free run has two carrier tiles and, for
+    Morse, gaps of all four identities."""
     out = set()
     for row in rows:
         for i0 in range(kind.stride):
             run = _run(row, i0, kind.stride)
-            if len(run) < 3:
-                continue
             carriers = run[:: kind.stride]
             seen = set(carriers)
-            if len(seen) == 2:
-                u, v = seen
-                pairs = ((u, v), (v, u))
-            elif len(seen) == 1:  # one tile leaves C1 or C0 open
-                (x,) = seen
-                pairs = ((x, None), (None, x))
-            else:
+            if len(run) < 3 or len(seen) != 2:
                 continue
-            for c0, c1 in pairs:
+            u, v = seen
+            for c0, c1 in ((u, v), (v, u)):
                 letters = bytes(0 if t == c0 else 1 for t in carriers)
                 if kind.pattern(Word(BINARY, letters)) is not None:
                     continue
@@ -484,11 +481,8 @@ def _candidates(kind: _Kind, rows: list[list[bytes]], blocks: set[bytes]) -> set
                         break
                     slots[slot] = run[i]
                 else:
-                    choices = [blocks if b is None else [b] for b in slots]
-                    if len(seen) == 1:  # the open carrier is another block
-                        i = 1 if c1 is None else 0
-                        choices[i] = [b for b in choices[i] if b != x and b in blocks]
-                    out.update(product(*choices))
+                    if None not in slots:
+                        out.add(tuple(slots))
     return out
 
 
@@ -625,20 +619,23 @@ def _recode(kind: _Kind, k: int, verdict: ParseVerdict, index: int) -> Window:
     # last(sigma**k(a)) sigma**k(b) first(sigma**k(c)); the target maps its
     # language into itself, so only pairs and triples outside it are read
     span = 1 << k
-    for width, cuts in ((2, range(span - 1)), (3, (span - 1,))):
+    for width, cuts in ((2, range(span - 1)), (3, range(span - 1, span))):
         ends = range(len(letters) - width + 1)
         for block in sorted({letters[i : i + width] for i in ends}):
             if _is_factor(target, block):
                 continue
             # a piece past the factor test's cap is refused, not rejected
             target._check_power(k + 1)
-            x = b"".join(images[a] for a in block)
-            for piece in (x[o : o + span + 2] for o in cuts):
-                if not _is_factor(target, piece):
-                    text = Word(target.alphabet, piece).text
+            x = b"".join(images[a] for a in block)[: cuts.stop + span + 1]
+            o = cuts.start
+            while o < cuts.stop:  # skip the pieces inside the longest factor at o
+                n = _least(lambda n: not _is_factor(target, x[o : o + n]), len(x) - o + 1)
+                if n <= span + 2:
+                    text = Word(target.alphabet, x[o : o + span + 2]).text
                     raise ConsistencyError(
                         f"recoded block {text!r} is not a {target.spec()} factor"
                     )
+                o += n - span - 2
     return Window(Word(target.alphabet, out), origin)
 
 
@@ -672,10 +669,8 @@ def _search(kind: _Kind, lang, kmax: int):
         checker = _Checker(kind, source, span, 32 * span)
         if not checker.tiler.words:  # no window and no 2R-block to parse
             continue
-        candidates = _candidates(kind, checker.tiler.tiles(0), set(words))
-        for blocks in sorted(
-            c for c in candidates if c[0] != c[1] and all(b in words for b in c)
-        ):
+        candidates = _candidates(kind, checker.tiler.tiles(0))
+        for blocks in sorted(c for c in candidates if all(b in words for b in c)):
             cert = kind.certificate(k, *(words[b] for b in blocks))
             if checker.verdict(cert).accepted:
                 return cert

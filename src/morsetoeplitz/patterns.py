@@ -191,8 +191,9 @@ def _least_repeat(
 
 
 def _least(ok, limit: int) -> int:
-    """The least k in [1, limit] with ok(k), for ok monotone and true at
-    limit: doubling, then halving, in about 2 log2 k calls."""
+    """The least k in [1, limit] with ok(k), for ok monotone: doubling, then
+    halving, in about 2 log2 k calls.  ok(limit) is never called, so limit
+    is returned whenever ok holds nowhere below it."""
     lo, hi = 0, 1
     while hi < limit and not ok(hi):
         lo, hi = hi, 2 * hi

@@ -285,11 +285,11 @@ def search_morse_certificate(lang, kmax: int) -> MorseCertificate | None:
     return None
 
 
-def candidates(kind, rows: list[list[bytes]], blocks: set[bytes]) -> set:
+def candidates(kind, rows: list[list[bytes]]) -> set:
     """Block tuples that parse a window at some phase and parity, by trying
-    every ordered pair (C0, C1) of the pool: the carrier tiles when they are
-    two, else the one carrier tile and every block.  ``kind`` is a
-    certificate kind of ``morsetoeplitz.conjugacy``."""
+    every ordered pair (C0, C1) of the pool, the carrier tiles of a run when
+    they are two; a tuple counts only when the gaps fix every other slot.
+    ``kind`` is a certificate kind of ``morsetoeplitz.conjugacy``."""
     out = set()
     for row in rows:
         for i0 in range(kind.stride):
@@ -297,10 +297,9 @@ def candidates(kind, rows: list[list[bytes]], blocks: set[bytes]) -> set:
             if len(run) < 3:
                 continue
             carriers = run[:: kind.stride]
-            seen = set(carriers)
-            pool = seen | blocks if len(seen) == 1 else seen if len(seen) == 2 else ()
+            pool = set(carriers) if len(set(carriers)) == 2 else ()
             for c0, c1 in product(pool, repeat=2):
-                if c0 == c1 or not seen <= {c0, c1}:
+                if c0 == c1:
                     continue
                 letters = bytes(0 if t == c0 else 1 for t in carriers)
                 if kind.pattern(Word(BINARY, letters)) is not None:
@@ -312,7 +311,8 @@ def candidates(kind, rows: list[list[bytes]], blocks: set[bytes]) -> set:
                         break
                     slots[slot] = run[i]
                 else:
-                    out.update(product(*(blocks if b is None else [b] for b in slots)))
+                    if None not in slots:
+                        out.add(tuple(slots))
     return out
 
 

@@ -1,11 +1,13 @@
 """Census cross-check on every primitive substitution of length 2 on two
-and three letters, one per class under renaming of letters (55 classes).
+and three letters (55 classes) and of length 4 on two letters (119
+classes), one per class under renaming of letters.
 
 sigma, sigma**2 and a renaming of sigma generate the same system up to the
 names of its letters, so a search must find a certificate at the same least
-k on all three, or none on any.  Every certificate found verifies at four
-times the default radius.  The found set is frozen in ``FOUND``: a change to
-it is a change in what the engine decides.
+k on all three, or none on any; on the length-4 family sigma**2 has length
+16 and is left out.  Every certificate found verifies at four times the
+default radius.  The found sets are frozen in ``FOUND`` and ``FOUND_4``: a
+change to them is a change in what the engine decides.
 """
 
 import itertools
@@ -53,6 +55,19 @@ FOUND = {
     },
 }
 
+FOUND_4 = {
+    "toeplitz": {
+        "0->0001;1->0101": (0, ("0", "1")),
+        "0->0010;1->1010": (0, ("0", "1")),
+        "0->0100;1->0101": (0, ("0", "1")),
+        "0->0101;1->0111": (0, ("1", "0")),
+    },
+    "morse": {
+        "0->0110;1->1001": (0, ("0", "1", "0", "1")),
+        "0->1001;1->0110": (0, ("0", "1", "0", "1")),
+    },
+}
+
 
 def renamed(images, perm):
     """Images of perm o sigma o perm**-1: letter perm[a] maps to the renamed
@@ -68,13 +83,13 @@ def substitution(images):
     return Substitution(alphabet, tuple(Word(alphabet, bytes(w)) for w in images))
 
 
-def census():
+def census(sizes, length):
     """The least image tuple of each renaming class, where primitive."""
     subs = []
-    for n in (2, 3):
+    for n in sizes:
         perms = list(itertools.permutations(range(n)))
-        pairs = list(itertools.product(range(n), repeat=2))
-        for images in itertools.product(pairs, repeat=n):
+        blocks = list(itertools.product(range(n), repeat=length))
+        for images in itertools.product(blocks, repeat=n):
             if images == min(renamed(images, p) for p in perms):
                 sub = substitution(images)
                 if build_graph(sub).is_primitive():
@@ -82,7 +97,8 @@ def census():
     return subs
 
 
-CENSUS = census()
+CENSUS = census((2, 3), 2)
+CENSUS_4 = census((2,), 4)
 
 
 def cyclic_renaming(sub):
@@ -95,13 +111,18 @@ def test_census_holds_55_classes():
     assert len(CENSUS) == 55
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_searches_agree_across_each_class(kind):
+def test_census_of_length_4_holds_119_classes():
+    assert len(CENSUS_4) == 119
+
+
+def agreeing_finds(kind, subs, others):
+    """The least certificate of each system in subs, as (k, blocks), after
+    checking that the search agrees on each of others(sub)."""
     search, verify = KINDS[kind]
     found = {}
-    for sub in CENSUS:
+    for sub in subs:
         cert = search(sub, KMAX)
-        for other in (sub.power(2), cyclic_renaming(sub)):
+        for other in others(sub):
             other_cert = search(other, KMAX)
             if cert is None:
                 assert other_cert is None, (sub.spec(), other.spec())
@@ -111,4 +132,16 @@ def test_searches_agree_across_each_class(kind):
         if cert is not None:
             assert verify(sub, cert, 4 * 32 * cert.span).accepted, sub.spec()
             found[sub.spec()] = (cert.k, tuple(b.text for b in cert.blocks))
+    return found
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_searches_agree_across_each_class(kind):
+    found = agreeing_finds(kind, CENSUS, lambda sub: (sub.power(2), cyclic_renaming(sub)))
     assert found == FOUND[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_length_4_searches_agree_across_each_class(kind):
+    found = agreeing_finds(kind, CENSUS_4, lambda sub: (cyclic_renaming(sub),))
+    assert found == FOUND_4[kind]

@@ -652,6 +652,20 @@ class TestWitness:
         result = invoke(runner, "witness", "--sub", "0->01;1->01", "--n", "2")
         assert result.exit_code == 2
 
+    def test_periodic_system_has_no_unique_phase(self, runner):
+        """The fixed point (012)^inf desubstitutes at more than one phase,
+        and sigma maps L(2) onto L(4), so neither report holds."""
+        result = invoke(runner, "witness", "--sub", "0->01;1->20;2->12", "--n", "2")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "n: 2",
+            "image_count: 3",
+            "block_count: 3",
+            "contained: True",
+            "proper: False",
+            "unique_phase: False",
+        ]
+
     def test_long_seed_period_fails_at_the_power_cap(self, runner, long_period_spec):
         result = invoke(runner, "witness", "--sub", long_period_spec, "--n", "1")
         assert result.exit_code == 2

@@ -47,6 +47,7 @@ from morsetoeplitz import conjugacy, patterns
 from morsetoeplitz.conjugacy import _GAP_IDENTITY
 from morsetoeplitz.substitution import _image
 from morsetoeplitz.words import Window
+from patterns_oracle import _even_square_small, _overlap_small
 
 
 #: The six ordered token pairs that may appear in an accepted Morse parse,
@@ -74,6 +75,12 @@ def mcert(k, c0, c1, c0p, c1p, alphabet=BINARY):
         alphabet.word(c0p),
         alphabet.word(c1p),
     )
+
+
+def explicit_binary(text):
+    """The window text at origin 1, with the length-1 blocks 0 and 1."""
+    blocks = {1: frozenset({BINARY.word("0"), BINARY.word("1")})}
+    return ExplicitSource(BINARY, (Window(BINARY.word(text), 1),), blocks)
 
 
 def window_source(text, origin):
@@ -369,6 +376,17 @@ class TestMorseVerification:
             assert (verdict.accepted, verdict.failure_reason) == (False, "no_phase")
             assert verdict.detail == "window[0]"
 
+    def test_a_run_of_fewer_than_three_tokens_is_no_parse(self):
+        """On 0.10 the identity parse at parity 1 is the run 010 from -1;
+        the other parity's run holds the one token at 0 and is passed by."""
+        verdict = verify_morse_certificate(
+            window_source("010", 1), mcert(0, "0", "1", "0", "1"), 3
+        )
+        assert verdict.accepted
+        assert verdict.phases == (
+            PhaseParse(0, -1, MORSE_TOKENS.word("010"), 1, "window[0]"),
+        )
+
     def test_foreign_carriers_fail_membership(self):
         source = window_source("0" * 10, 5)
         verdict = verify_morse_certificate(source, mcert(1, "01", "10", "00", "11"), 6)
@@ -565,6 +583,27 @@ class TestRecoding:
                         passed += 1
         assert raised > 40 and passed > 400
 
+    def test_factor_pieces_are_skipped_by_galloping(self, monkeypatch):
+        """Tokens 0110 hold 11, which is no Toeplitz factor; at k = 14 every
+        piece of tau**k(11) is one, and the longest factor from each piece
+        covers the ones inside it, so a hundred factor tests or so decide
+        what one test per piece (over 16,000) did."""
+        k = 14
+        calls = []
+
+        def counting(sub, data):
+            calls.append(len(data))
+            return is_factor(sub, data)
+
+        is_factor = conjugacy._is_factor
+        monkeypatch.setattr(conjugacy, "_is_factor", counting)
+        cert = tcert(k, "0" * (1 << k), "1" * (1 << k))
+        tokens = BINARY.word("0110")
+        verdict = ParseVerdict(True, (PhaseParse(0, 0, tokens),), None, "toeplitz", 64)
+        out = recode_toeplitz(cert, verdict)
+        assert out.word.letters == _image(TOEPLITZ._iterate(k), tokens.letters)
+        assert len(calls) < 200
+
     def test_rejected_verdicts_cannot_be_recoded(self, toeplitz):
         cert = tcert(0, "1", "0")
         verdict = verify_toeplitz_certificate(toeplitz, cert)
@@ -603,6 +642,56 @@ class TestSearches:
         assert search_toeplitz_certificate(morse, 2) is None
         assert search_morse_certificate(toeplitz, 1) is None
         assert search_morse_certificate(three_letter, 1) is None
+
+    def test_toeplitz_search_guesses_no_carrier(self):
+        """Every block of a candidate is a tile of the reference window: on
+        000 no tile can be C1, so the search finds nothing, although
+        verification accepts (0, 1), whose C1 never occurs."""
+        source = explicit_binary("000")
+        assert search_toeplitz_certificate(source, 2) is None
+        assert verify_toeplitz_certificate(source, tcert(0, "0", "1"), 3).accepted
+
+    def test_morse_search_guesses_no_gap_block(self):
+        """On 010 the one run of 3 tiles has the carrier 0 twice and the gap
+        1, which fixes C1 only, so the search finds nothing, although
+        verification accepts the certificate that guesses C0' and C1' as the
+        least block."""
+        source = explicit_binary("010")
+        assert search_morse_certificate(source, 2) is None
+        assert verify_morse_certificate(source, mcert(0, "0", "1", "0", "0"), 3).accepted
+
+    def test_word_facts_of_the_candidate_proof(self):
+        """The facts ``_candidates`` rests on, over every binary word: an
+        overlap-free word of 9 letters holds all four 2-blocks, the longest
+        that avoids 00 or 11 has 8 letters and the longest that avoids 01 or
+        10 has 4, and a 4-letter word with no even-zero square holds both
+        letters."""
+        def words(n):
+            return [bytes(w) for w in itertools.product((0, 1), repeat=n)]
+
+        pairs = set(words(2))
+        overlap_free = [w for w in words(9) if _overlap_small(w) is None]
+        assert overlap_free
+        assert all({w[i : i + 2] for i in range(8)} == pairs for w in overlap_free)
+        for pair in sorted(pairs):
+            grown, longer = [], [b""]
+            while longer:  # both conditions hold of every prefix
+                grown = longer
+                longer = [w + a for w in grown for a in (b"\0", b"\1")]
+                longer = [w for w in longer if pair not in w and _overlap_small(w) is None]
+            assert len(grown[0]) == (8 if pair[0] == pair[1] else 4)
+        square_free = [w for w in words(4) if _even_square_small(w, 0) is None]
+        assert square_free and all(set(w) == {0, 1} for w in square_free)
+
+    def test_reference_words_of_substitutions_hold_63_tiles(self, three_letter):
+        """The first sampled window has 64 * span letters at every scale."""
+        for sub in (MORSE, TOEPLITZ, three_letter):
+            for k in range(5):
+                span = 1 << k
+                checker = conjugacy._Checker(
+                    conjugacy._MORSE, SubstitutionSource(sub), span, 32 * span
+                )
+                assert min(len(row) for row in checker.tiler.tiles(0)) >= 63
 
     def test_kmax_validated(self, morse):
         with pytest.raises(RangeError):

@@ -408,7 +408,7 @@ def no_pattern(word):
     return None
 
 
-# A kind whose scan never finds its pattern lets runs of one carrier tile
+# A kind whose scan never finds its pattern lets short and periodic runs
 # through to the gap rule, which the overlap and even-square scans refuse.
 PATTERN_FREE_KINDS = [
     replace(_TOEPLITZ, pattern=no_pattern),
@@ -424,26 +424,24 @@ def test_candidates_agree_with_the_pairwise_loop(name):
         span = 1 << k
         _, window = SubstitutionSource(sub).sample_windows(32 * span)[0]
         rows = oracle.Slices(span, [window]).tiles(0)
-        blocks = {b.letters for b in sub.language(span)}
         for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
-            want = oracle.candidates(kind, rows, blocks)
-            assert _candidates(kind, rows, blocks) == want
+            assert _candidates(kind, rows) == oracle.candidates(kind, rows)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_candidates_agree_on_explicit_windows(k):
-    """Flipped letters put tiles outside the language into the rows, and
-    periodic windows give runs of one carrier tile between equal gaps."""
+    """Flipped letters put tiles outside the language into the rows,
+    periodic windows give runs of one carrier tile between equal gaps, and
+    short windows give runs whose gaps leave a slot open."""
     span = 1 << k
-    blocks = {b.letters for b in MORSE.language(span)}
     periodic = ["0" * 32, "01" * 16, "0010" * 8, "0111" * 8, "110" * 11]
     periodic.append("01100000" * 4)  # the gap tile 0000 is no Morse block
-    for text in [*flipped_morse_windows(), *periodic]:
-        window = Window(BINARY.word(text), 16)
+    short = ["010", "0110", "01101", "0110100", "011010011", "00101000"]
+    for text in [*flipped_morse_windows(), *periodic, *short]:
+        window = Window(BINARY.word(text), len(text) // 2)
         rows = oracle.Slices(span, [window]).tiles(0)
         for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
-            want = oracle.candidates(kind, rows, blocks)
-            assert _candidates(kind, rows, blocks) == want
+            assert _candidates(kind, rows) == oracle.candidates(kind, rows)
 
 
 def test_level_view_refuses_what_the_words_would():
