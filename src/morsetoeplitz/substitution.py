@@ -15,11 +15,12 @@ Conventions used throughout:
   j in [0, r**k) when the blocks starting at bilateral indices congruent
   to j modulo r**k all belong to the prescribed block set.
 
-``language`` computes the n-block language of a primitive substitution by
-closing the set of 2-blocks under the substitution and then reading the
-n-factors of the covering words sigma**m(ab), one per 2-block ab;
-``language_brute`` is the slow iterate-and-collect oracle kept for
-cross-validation and must agree with it.
+``language`` computes the n-block language of a primitive substitution
+from the 2-blocks, closed under the substitution, by levels: the n-blocks
+are the n-slices at offsets below r**d of the sigma**d-images of the blocks
+of about sqrt(n) letters, d about half the least m with r**m >= n, so each
+block is read about once.  ``language_brute`` is the slow
+iterate-and-collect oracle kept for cross-validation and must agree with it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from .words import _LETTERS, Alphabet, Window, Word, _trusted_word
 #: Cap on the length of any materialized word.
 DEFAULT_MAX_LEN = 1 << 20
 
-#: Cap on the bytes of n-factors that ``language(n)`` may collect: n times the
-#: number of factor positions in its covering words.  Morse at n = 4096 needs
-#: 2**26 and change; n = 8192 would need 2**28.
+#: Cap on ``language(n)``, checked before any block is read: n times the
+#: number of factor positions in the covering words sigma**m(ab) of the
+#: 2-blocks, with m the least exponent such that r**m >= n.  Morse at n = 4096
+#: comes to 2**26 and change; n = 8192 would come to 2**28.
 LANGUAGE_BYTES_CAP = 1 << 27
 
 
@@ -242,21 +244,11 @@ class Substitution:
     def language(self, n: int) -> frozenset[Word]:
         """The set of n-blocks of the minimal system of a primitive substitution.
 
-        Raises CapacityError before building the set when its covering words
-        hold more than ``LANGUAGE_BYTES_CAP`` bytes of n-factors.
+        Raises CapacityError before reading any block when its covering
+        words would hold more than ``LANGUAGE_BYTES_CAP`` bytes of n-factors.
         """
         self._require_primitive(n)
-        return _language(self, n)
-
-    def covering_words(self, n: int) -> tuple[Word, ...]:
-        """Words whose n-factors are exactly ``language(n)``.
-
-        One word sigma**m(ab) per 2-block ab of the language, in sorted
-        order of ab, with m the least exponent such that r**m >= n: every
-        n-block lies inside the image of one 2-block.
-        """
-        self._require_primitive(n)
-        return tuple(Word(self.alphabet, w) for w in _covering_words(self, n))
+        return frozenset(_trusted_word(self.alphabet, b) for b in _blocks(self, n))
 
     def _require_primitive(self, n: int) -> None:
         if n < 1:
@@ -354,23 +346,46 @@ def _is_factor(sub: Substitution, data: bytes) -> bool:
     return data in cover
 
 
-def _language(sub: Substitution, n: int) -> frozenset[Word]:
-    """The n-factors of the covering words, refused up front when they
-    could hold more than ``LANGUAGE_BYTES_CAP`` bytes.
+def _blocks(sub: Substitution, n: int) -> set[bytes]:
+    """The n-blocks of a primitive ``sub`` as bytes, read at level d from
+    the blocks of about sqrt(n) letters.
 
-    A covering word sigma**m(ab) is read only at starts i < r**m: every
-    n-block with n <= r**m starts inside sigma**m(a) for some 2-block ab.
+    With m the least exponent such that r**m >= n, the request is refused
+    up front as ``_check_power(m)`` refuses it, or when the covering words
+    sigma**m(ab) of the 2-blocks ab would hold more than
+    ``LANGUAGE_BYTES_CAP`` bytes of n-factors, n * |pairs| * (2r**m - n + 1).
+    At n <= 2 the blocks are the 2-blocks or their first letters.
+
+    Otherwise, with d = ceil(m/2), R = r**d and l = ceil((n + R - 1)/R) < n,
+    L(n) = {sigma**d(u)[o : o + n] : u in L(l), 0 <= o < R}.  Each slice is
+    an n-block, as sigma maps L into L.  Conversely, sigma**d(X) is closed
+    and T**R sigma**d(y) = sigma**d(Ty), so the union of T**o sigma**d(X)
+    over o < R is a closed, shift-invariant, non-empty subset of X, hence X
+    by minimality.  An n-block of X is therefore x[0 : n] with x = T**o
+    sigma**d(y), o < R, y in X, which is sigma**d(y[0 : l])[o : o + n], as
+    o + n <= R - 1 + n <= l * R.  The images of every l-block are one
+    image of their concatenation, read at stride l * R.
     """
-    words = _covering_words(sub, n)
-    size = n * sum(len(x) - n + 1 for x in words)
+    r = sub.length
+    m = next(m for m in itertools.count() if r**m >= n)
+    sub._check_power(m)
+    size = n * len(sub._pairs) * (2 * r**m - n + 1)
     if size > LANGUAGE_BYTES_CAP:
         raise CapacityError(
             f"language({n}) could hold {size} bytes of blocks, over cap "
             f"{LANGUAGE_BYTES_CAP}"
         )
-    starts = range(len(words[0]) // 2)
-    blocks = {x[i : i + n] for x in words for i in starts}
-    return frozenset(_trusted_word(sub.alphabet, b) for b in blocks)
+    if n <= 2:
+        return {ab[:n] for ab in sub._pairs}
+    d = (m + 1) // 2
+    span = r**d
+    ell = (n + 2 * span - 2) // span
+    data = _image(sub._iterate(d), b"".join(_blocks(sub, ell)))
+    return {
+        data[i : i + n]
+        for s in range(0, len(data), ell * span)
+        for i in range(s, s + span)
+    }
 
 
 # -- the tiler -------------------------------------------------------------

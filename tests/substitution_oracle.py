@@ -11,6 +11,11 @@ share no code with the kernels they check.
 boundary maps instead of sweeping periods: a seed (a, b, p) is admissible
 when p is a multiple of the cycle length of a under the last-letter map and
 of b under the first-letter map.
+
+``covering_language`` is the read ``language`` made before it went by
+levels: the n-factors of the covering words sigma**m(ab), one per 2-block
+ab with m the least exponent such that r**m >= n, at the starts inside
+sigma**m(a).
 """
 
 from __future__ import annotations
@@ -18,6 +23,15 @@ from __future__ import annotations
 from math import lcm
 
 from morsetoeplitz import CapacityError
+from morsetoeplitz.substitution import _covering_words
+from morsetoeplitz.words import _trusted_word
+
+
+def covering_language(sub, n: int) -> frozenset:
+    words = _covering_words(sub, n)
+    starts = range(len(words[0]) // 2)
+    blocks = {x[i : i + n] for x in words for i in starts}
+    return frozenset(_trusted_word(sub.alphabet, b) for b in blocks)
 
 
 def image(imgs: list[bytes], data: bytes) -> bytes:

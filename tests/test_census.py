@@ -7,13 +7,15 @@ names of its letters, so a search must find a certificate at the same least
 k on all three, or none on any; on the length-4 family sigma**2 has length
 16 and is left out.  Every certificate found verifies at four times the
 default radius.  The found sets are frozen in ``FOUND`` and ``FOUND_4``: a
-change to them is a change in what the engine decides.
+change to them is a change in what the engine decides.  Every class's
+languages up to n = 64 equal the covering-word read of the test oracle.
 """
 
 import itertools
 
 import pytest
 
+import substitution_oracle
 from morsetoeplitz import (
     Alphabet,
     Substitution,
@@ -145,3 +147,10 @@ def test_searches_agree_across_each_class(kind):
 def test_length_4_searches_agree_across_each_class(kind):
     found = agreeing_finds(kind, CENSUS_4, lambda sub: (cyclic_renaming(sub),))
     assert found == FOUND_4[kind]
+
+
+def test_languages_agree_with_the_covering_word_read():
+    for sub in CENSUS + CENSUS_4:
+        for n in range(1, 65):
+            expected = substitution_oracle.covering_language(sub, n)
+            assert sub.language(n) == expected, (sub.spec(), n)

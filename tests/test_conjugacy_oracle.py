@@ -39,7 +39,7 @@ from morsetoeplitz.conjugacy import (
     parse_phases,
 )
 from morsetoeplitz.errors import InsufficientWindowError
-from morsetoeplitz.substitution import _Levels
+from morsetoeplitz.substitution import _covering_words, _Levels
 from morsetoeplitz.words import Window
 
 THREE = parse_substitution("0->12;1->02;2->10")
@@ -390,7 +390,7 @@ def test_level_rows_match_sliced_rows(name, k):
     sub, span = ROW_SYSTEMS[name], 1 << k
     certs = level_certificates(sub, k)
     for radius in (3 * span + 1, 4 * span, 32 * span):
-        covers = sub.covering_words(2 * radius)
+        covers = [Word(sub.alphabet, w) for w in _covering_words(sub, 2 * radius)]
         assert_same_rows(SubstitutionSource(sub), span, radius, covers, certs)
 
 

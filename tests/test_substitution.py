@@ -385,6 +385,18 @@ class TestBoundaryMaps:
                 ]
 
 
+LEVEL_SPECS = ("0->01;1->10", "0->01;1->00", "0->12;1->02;2->10")
+
+# the systems of test_agrees_with_brute_oracle, and the 4-block presentation
+# of Toeplitz, which is not injective
+ORACLE_SYSTEMS = {
+    **{spec: parse_substitution(spec) for spec in LEVEL_SPECS},
+    **{f"({spec})**2": parse_substitution(spec).power(2) for spec in LEVEL_SPECS},
+    "0->012;1->201;2->110": parse_substitution("0->012;1->201;2->110"),
+    "toeplitz_4_block": parse_substitution("a->df;b->df;c->ce;d->ce;e->ab;f->ab"),
+}
+
+
 class TestLanguage:
     def test_morse_block_counts(self, morse):
         assert [len(morse.language(n)) for n in (1, 2, 3, 4, 8)] == [2, 4, 6, 10, 22]
@@ -457,7 +469,6 @@ class TestLanguage:
         sub = parse_substitution("0->01;1->10")
         for n in (1, 2, 3, 2, 1, 3):
             sub.language(n)
-        sub.covering_words(5)
         assert len(built) == 1
 
     def test_languages_are_not_kept(self, morse):
@@ -467,8 +478,49 @@ class TestLanguage:
 
     def test_size_cap_admits_morse_at_4096(self, morse):
         n = 4096
-        bound = n * sum(len(w) - n + 1 for w in morse.covering_words(n))
+        bound = n * sum(len(w) - n + 1 for w in substitution._covering_words(morse, n))
         assert bound <= LANGUAGE_BYTES_CAP
+
+    def test_refusals_keep_their_text(self, morse):
+        # the covering words' bound, and _check_power past the length cap
+        texts = {
+            8192: "language(8192) could hold 268468224 bytes of blocks, over cap 134217728",
+            65536: "language(65536) could hold 17180131328 bytes of blocks, over cap 134217728",
+            (1 << 20) + 1: "r**k = 2**21 exceeds cap 1048576",
+        }
+        for n, text in texts.items():
+            with pytest.raises(CapacityError) as err:
+                morse.language(n)
+            assert str(err.value) == text
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_agrees_with_the_covering_word_read(self, name):
+        sub = ORACLE_SYSTEMS[name]
+        for n in range(1, 301):
+            assert sub.language(n) == oracle.covering_language(sub, n), n
+
+    @pytest.mark.parametrize("spec", LEVEL_SPECS)
+    def test_squares_agree_with_the_covering_word_read_near_powers_of_2(self, spec):
+        sub = parse_substitution(spec).power(2)
+        for n in (511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049):
+            assert sub.language(n) == oracle.covering_language(sub, n), n
+
+    def test_morse_counts_follow_the_closed_form(self, morse):
+        """The factor complexity of Thue-Morse (Brlek 1989; de Luca and
+        Varricchio 1989): p(1) = 2, p(2) = 4, and for n = 2**m + q + 1 with
+        0 < q <= 2**m, p(n) = 3 * 2**m + 4q if 2q <= 2**m, else 4 * 2**m + 2q."""
+
+        def complexity(n):
+            if n <= 2:
+                return 2 * n
+            m = (n - 2).bit_length() - 1
+            q = n - 1 - (1 << m)
+            return 3 * (1 << m) + 4 * q if 2 * q <= 1 << m else 4 * (1 << m) + 2 * q
+
+        assert [complexity(n) for n in (33, 2048, 4096)] == [96, 6142, 12286]
+        sizes = [*range(1, 300), 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096]
+        for n in sizes:
+            assert len(morse.language(n)) == complexity(n), n
 
 
 class TestStructure:
