@@ -32,11 +32,12 @@ offset mod r**d and one level block: tile codes come from per-offset
 tables that ``bytes.find`` fills, and a phase at an offset where no
 certificate block occurs holds only code 0 and is skipped.  An explicit
 source, like a substitution whose length does not divide the span, is its
-own level at d = 0.  Searches derive candidates from the first word tiled
-(the first sampled window, else the least 2R-block), which any accepted
-certificate must parse: C0/C1 are the two carrier tiles of a phase, C0'/C1'
-its gaps by the neighbor table.  When every phase holds 18 tiles or more, as
-on a substitution source, this set holds every certificate that can be
+own level at d = 0.  Searches read no block set: they derive candidates
+from the tiles of the first word tiled (the first sampled window, else the
+least 2R-block), blocks of the system that any accepted certificate must
+parse: C0/C1 are the two carrier tiles of a phase, C0'/C1' its gaps by the
+neighbor table.  When every phase holds 18 tiles or more, as on a
+substitution source, this set holds every certificate that can be
 accepted, so verifying it in lexicographic order returns the least one.  A
 scale with neither word is skipped, as verification there refuses it.
 
@@ -448,7 +449,7 @@ def _segments(kind: _Kind, toks):
             letters = bytearray((letter,))
 
 
-def _candidates(kind: _Kind, rows: list[list[bytes]]) -> set:
+def _candidates(kind: _Kind, rows: Iterable[list[bytes]]) -> set:
     """Block tuples that parse the reference word at some phase and parity:
     C0 and C1 are the two carrier tiles of a pattern-free run, and each gap
     fixes the slot the neighbor table names.  A run yields a tuple only when
@@ -665,25 +666,26 @@ def _search(kind: _Kind, lang, kmax: int):
     source = as_source(lang)
     for k in range(kmax + 1):
         span = 1 << k
-        words = {b.letters: b for b in source.blocks(span) or ()}
         checker = _Checker(kind, source, span, 32 * span)
         if not checker.tiler.words:  # no window and no 2R-block to parse
             continue
-        candidates = _candidates(kind, checker.tiler.tiles(0))
-        for blocks in sorted(c for c in candidates if all(b in words for b in c)):
-            cert = kind.certificate(k, *(words[b] for b in blocks))
+        # the reference word is a window or block of the system, so its tiles are blocks
+        for blocks in sorted(_candidates(kind, checker.tiler.tiles(0))):
+            cert = kind.certificate(k, *(Word(source.alphabet, b) for b in blocks))
             if checker.verdict(cert).accepted:
                 return cert
     return None
 
 
 def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
-    """Least certificate in (k, C0, C1) lexicographic order, or None."""
+    """Least certificate in (k, C0, C1) lexicographic order, or None; the
+    blocks are tiles of the reference word, and no block set is read."""
     return _search(_TOEPLITZ, lang, kmax)
 
 
 def search_morse_certificate(lang, kmax: int) -> MorseCertificate | None:
-    """Least certificate in (k, C0, C1, C0', C1') lexicographic order."""
+    """Least certificate in (k, C0, C1, C0', C1') lexicographic order, or
+    None, from tiles of the reference word: no block set is read."""
     return _search(_MORSE, lang, kmax)
 
 

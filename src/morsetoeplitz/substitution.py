@@ -450,15 +450,11 @@ class _Levels:
             if count >= 3:
                 yield j, t0, j % size, keys[q0 : q0 + count * c : c]
 
-    def tiles(self, w: int) -> list[list[bytes]]:
-        span, cut = self.span, {}
-        rows = []
-        for _, _, o, keys in self._phases(w, range(span)):
-            for key in keys:
-                if (o, key) not in cut:
-                    cut[o, key] = self.images[key][o : o + span]
-            rows.append([cut[o, key] for key in keys])
-        return rows
+    def tiles(self, w: int):
+        """Rows of tiles of word w, one phase at a time."""
+        for _, _, o, keys in self._phases(w, range(self.span)):
+            cut = {key: self.images[key][o : o + self.span] for key in set(keys)}
+            yield [cut[key] for key in keys]
 
     def coder(self, cert):
         """Rows of tile codes of word w, as (phase, start, row) at every

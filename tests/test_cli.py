@@ -503,9 +503,10 @@ class TestSearchCert:
         assert_input_error(result)
         assert result.stderr == "error: blocks of 2**21 letters exceed cap 1048576\n"
 
-    def test_largest_kmax_stops_at_the_language_cap(self, runner):
+    def test_largest_kmax_stops_where_verification_does(self, runner):
         """kmax 20 is accepted; Toeplitz has no Morse certificate up to
-        k = 12, and k = 13 needs language(8192), past its byte cap."""
+        k = 14, and at k = 15 the covering words of 2R = 2**21 letters pass
+        DEFAULT_MAX_LEN, so verification there refuses the scale."""
         start = time.perf_counter()
         result = invoke(
             runner, "search-cert", "--kind", "morse", "--sub", TOEPLITZ_SPEC,
@@ -513,10 +514,7 @@ class TestSearchCert:
         )
         assert time.perf_counter() - start < 10
         assert_input_error(result)
-        assert result.stderr == (
-            "error: language(8192) could hold 201351168 bytes of blocks, "
-            "over cap 134217728\n"
-        )
+        assert result.stderr == "error: r**k = 2**21 exceeds cap 1048576\n"
 
 
 class TestAnalyze:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -719,12 +720,39 @@ class TestSearches:
         assert cert == tcert(1, "01", "00")
         assert verify_toeplitz_certificate(source, cert).accepted
 
-    def test_span_cap(self, morse, monkeypatch):
+    def test_explicit_windows_need_no_blocks(self, morse):
+        """A search reads no block set: on a 32-letter Morse window without
+        ``blocks_by_length`` it finds what verification accepts there."""
+        source = ExplicitSource(BINARY, (morse.periodic_window(Seed(0, 0, 2), 16),))
+        toeplitz = search_toeplitz_certificate(source, 20)
+        assert toeplitz == tcert(3, "00101100", "11010011")
+        assert verify_toeplitz_certificate(source, toeplitz).accepted
+        found = search_morse_certificate(source, 20)
+        assert found == mcert(0, "0", "1", "0", "1")
+        assert verify_morse_certificate(source, found).accepted
+
+    def test_searches_pass_the_language_cap(self, morse, toeplitz):
+        """language(2**13) passes LANGUAGE_BYTES_CAP, but a search builds
+        no language, so it goes on to kmax."""
+        assert search_toeplitz_certificate(morse, 14) is None
+        assert search_morse_certificate(toeplitz, 13) is None
+
+    def test_search_memory_stays_small(self, morse):
+        """Tile rows are cut one phase at a time, not kept for every phase."""
+        tracemalloc.start()
+        try:
+            assert search_toeplitz_certificate(morse, 12) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_span_cap(self, monkeypatch):
         """A 32-letter window without blocks holds no phase of 3 tiles past
         k = 3, so every later scale costs O(1) up to the largest kmax, 20.
         A kmax whose blocks pass DEFAULT_MAX_LEN = 2**20 is refused before
         any tiling."""
-        source = ExplicitSource(BINARY, (morse.periodic_window(Seed(0, 0, 2), 16),))
+        source = ExplicitSource(BINARY, (Window(BINARY.word("0" * 32), 16),))
         searches = (search_toeplitz_certificate, search_morse_certificate)
         start = time.perf_counter()
         for search in searches:
