@@ -242,16 +242,12 @@ class SubstitutionSource:
         size = sub.length**d
         level_radius = -(-radius // size)
         labels, words = [], []
-        # The window of a seed (a, b, p) is sigma**d of the window of the point
-        # z = sigma**e(x), e = -d mod p: z is fixed by sigma**p, its center
-        # letters are the last of sigma**e(a) and the first of sigma**e(b), and
-        # sigma**d(z) = sigma**(d+e)(x) = x.
+        # The window of a seed (a, b, p) is sigma**d of the window of the seed
+        # of z = sigma**e(x), e = -d mod p: see Substitution.periodic_window.
         for seed in system_seeds(sub):
             last, first = sub._boundary_maps(-d % seed.period)
             level = Seed(last[seed.left], first[seed.right], seed.period)
             win = sub.periodic_window(level, level_radius)
-            # refuse the radii at which the seed's own window is refused
-            sub._check_growth(seed.period, radius)
             labels.append(f"seed {seed}")
             words.append((win.word.letters, -level_radius * size, -radius, radius))
         for level in _covering_words(sub, 2 * radius, d):  # seeds checked primitivity

@@ -2,15 +2,16 @@
 
 A substitution of length r sends every letter to a word of r letters over
 the same alphabet.  Applied letterwise it maps words to words; iterated
-from a periodic seed it fills a bilateral window coherently.
+on the center pair of a periodic seed it fills a bilateral window.
 
 Conventions used throughout:
 
 * A seed (a, b, p) asks for the two-sided point of the p-th iterate whose
   letter at bilateral index -1 is a and whose letter at index 0 is b.  It
   is admissible when the p-th image of a ends with a and the p-th image of
-  b begins with b; then the leftward iterates of a and the rightward
-  iterates of b grow coherently and any finite radius can be filled.
+  b begins with b.  For every j, with e = -j mod p, the point is then
+  sigma**j of the point whose center letters are the last of sigma**e(a)
+  and the first of sigma**e(b) (``Substitution.periodic_window``).
 * Parse phases are residues of bilateral indices.  A window tiles at phase
   j in [0, r**k) when the blocks starting at bilateral indices congruent
   to j modulo r**k all belong to the prescribed block set.
@@ -207,7 +208,15 @@ class Substitution:
         """Central window of the periodic point fixed by the seed.
 
         Covers bilateral indices [-radius, radius); the origin letter is the
-        seed's right letter.
+        seed's right letter.  Refused exactly when r**j passes the length
+        cap, j the least exponent with r**j >= radius.
+
+        Let x be the point fixed by sigma**p with x[-1] = a and x[0] = b, and
+        e = -j mod p.  Then z = sigma**e(x) is fixed by sigma**p, its center
+        letters are the last letter of sigma**e(a) and the first of
+        sigma**e(b), and sigma**j(z) = sigma**(j+e)(x) = x, as p divides
+        j + e.  So x[-r**j : r**j] is sigma**j of z's center pair, whatever
+        p is, and the window is its middle 2 * radius letters.
         """
         if radius < 1:
             raise RangeError("radius must be >= 1")
@@ -217,27 +226,14 @@ class Substitution:
         last, first = self._boundary_maps(seed.period)
         if last[seed.left] != seed.left or first[seed.right] != seed.right:
             raise SeedError(f"seed {seed} is not admissible for {self}")
-        self._check_power(seed.period)
-        self._check_growth(seed.period, radius)
-
-        def grow(word: bytes) -> bytes:
-            while len(word) < radius:
-                for _ in range(seed.period):
-                    word = _image(self._letters, word)
-            return word
-
-        body = grow(bytes([seed.left]))[-radius:] + grow(bytes([seed.right]))[:radius]
-        return Window(Word(self.alphabet, body), radius)
-
-    def _check_growth(self, period: int, radius: int) -> None:
-        """Refuse a window whose growth passes the length cap.  A window grows
-        by rounds of sigma**period from one letter per side until it reaches
-        the radius; lengths only grow, so the last round is the longest."""
-        step, size = self.length**period, 1
-        while size < radius:
-            size *= step
-        if size > DEFAULT_MAX_LEN:
-            raise CapacityError(f"window growth exceeds cap {DEFAULT_MAX_LEN}")
+        j = next(j for j in itertools.count() if self.length**j >= radius)
+        self._check_power(j)
+        last, first = self._boundary_maps(-j % seed.period)
+        body = bytes((last[seed.left], first[seed.right]))
+        for _ in range(j):
+            body = _image(self._letters, body)
+        half = self.length**j
+        return Window(Word(self.alphabet, body[half - radius : half + radius]), radius)
 
     # -- language ---------------------------------------------------------
 

@@ -3,8 +3,9 @@
 These are the block-by-block verifiers and exhaustive searches that
 ``morsetoeplitz.conjugacy`` replaced with covering-word checks and derived
 candidates.  Every sampled window and every block of L_{2R} is parsed on its
-own, and the searches try every block tuple in lexicographic order, so they
-are slow but independent of the fast paths they check.  ``candidates`` is
+own, and the searches try every tuple of the reference word's tiles in
+lexicographic order, so they are slow but independent of the fast paths
+they check.  ``candidates`` is
 the pairwise candidate loop that the searches' single-tile pass replaced,
 and ``Slices`` the span-slice tiler that the level view replaced.
 """
@@ -237,6 +238,18 @@ def _check_kmax(kmax: int) -> None:
         raise CapacityError(f"blocks of 2**{kmax} letters exceed cap {DEFAULT_MAX_LEN}")
 
 
+def _reference(source: LanguageSource, span: int, radius: int):
+    """The reference word, the first sampled window or else the least
+    2R-block, and its distinct span-tiles, sorted: the searches draw their
+    candidate blocks from these, as ``conjugacy`` does, not from a block set."""
+    windows = [win for _, win in source.sample_windows(radius)]
+    windows += [Window(b, 0) for b in sorted(source.blocks(2 * radius) or ())]
+    if not windows:
+        return None, []
+    tiles = Slices(span, windows[:1]).ids
+    return windows[0], sorted(Word(source.alphabet, t) for t in tiles)
+
+
 def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
     """Least certificate in (k, C0, C1) lexicographic order, or None."""
     _check_kmax(kmax)
@@ -244,17 +257,14 @@ def search_toeplitz_certificate(lang, kmax: int) -> ToeplitzCertificate | None:
     for k in range(kmax + 1):
         span = 1 << k
         radius = 32 * span
-        blocks = sorted(source.blocks(span) or ())
-        ref = source.sample_windows(radius)
-        ref_window = ref[0][1] if ref else None
+        ref_window, blocks = _reference(source, span, radius)
         for c0, c1 in product(blocks, repeat=2):
             if c0 == c1:
                 continue
             cert = ToeplitzCertificate(k, c0, c1)
-            if ref_window is not None:
-                reason, _ = _toeplitz_eval_window("ref", ref_window, cert)
-                if reason is not None:
-                    continue
+            reason, _ = _toeplitz_eval_window("ref", ref_window, cert)
+            if reason is not None:
+                continue
             verdict = verify_toeplitz_certificate(source, cert, radius)
             if verdict.accepted:
                 return cert
@@ -268,17 +278,14 @@ def search_morse_certificate(lang, kmax: int) -> MorseCertificate | None:
     for k in range(kmax + 1):
         span = 1 << k
         radius = 32 * span
-        blocks = sorted(source.blocks(span) or ())
-        ref = source.sample_windows(radius)
-        ref_window = ref[0][1] if ref else None
+        ref_window, blocks = _reference(source, span, radius)
         for c0, c1, c0p, c1p in product(blocks, repeat=4):
             if c0 == c1:
                 continue
             cert = MorseCertificate(k, c0, c1, c0p, c1p)
-            if ref_window is not None:
-                reason, _ = _morse_eval_window("ref", ref_window, cert)
-                if reason is not None:
-                    continue
+            reason, _ = _morse_eval_window("ref", ref_window, cert)
+            if reason is not None:
+                continue
             verdict = verify_morse_certificate(source, cert, radius)
             if verdict.accepted:
                 return cert

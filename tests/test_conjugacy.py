@@ -733,9 +733,16 @@ class TestSearches:
 
     def test_searches_pass_the_language_cap(self, morse, toeplitz):
         """language(2**13) passes LANGUAGE_BYTES_CAP, but a search builds
-        no language, so it goes on to kmax."""
+        no language, so it goes on to kmax.  Nor does a long seed period
+        stop it: a window reads sigma**j of a center pair, not rounds of
+        sigma**p (seed period 3, and 12 on the 12-letter cycle)."""
         assert search_toeplitz_certificate(morse, 14) is None
         assert search_morse_certificate(toeplitz, 13) is None
+        period_three = parse_substitution("0->01;1->02;2->00")
+        assert search_toeplitz_certificate(period_three, 14) is None
+        letters = "abcdefghijkl"
+        cycle = ";".join(f"{a}->{a}{b}" for a, b in zip(letters, letters[1:] + "a"))
+        assert search_toeplitz_certificate(parse_substitution(cycle), 8) is None
 
     def test_search_memory_stays_small(self, morse):
         """Tile rows are cut one phase at a time, not kept for every phase."""

@@ -127,16 +127,18 @@ def identity(kind, sub, k):
     return KINDS[kind][0](k, *blocks)
 
 
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("name", sorted(SYSTEMS) + ["morse window"])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_searches_agree(name, kind):
+    """The 32-letter Morse window has no blocks: both searches draw from its
+    tiles, and find (3, 00101100, 11010011) and (0, 0, 1, 0, 1) there."""
     fast = {"toeplitz": search_toeplitz_certificate, "morse": search_morse_certificate}
     slow = {
         "toeplitz": oracle.search_toeplitz_certificate,
         "morse": oracle.search_morse_certificate,
     }
-    for kmax in (0, 1, 2):
-        sub = SYSTEMS[name]
+    sub = SYSTEMS.get(name) or explicit(MORSE_WINDOW, 16)
+    for kmax in (0, 1, 2) if name in SYSTEMS else (3,):
         assert outcome(fast[kind], sub, kmax) == outcome(slow[kind], sub, kmax), kmax
 
 
@@ -445,10 +447,10 @@ def test_candidates_agree_on_explicit_windows(k):
 
 
 def test_level_view_refuses_what_the_words_would():
-    """At k = 16 the sampled windows would outgrow the cap; at k = 15 they
-    fit, and the covering words sigma**21(ab) are over the power cap."""
+    """At k = 15 and 16 the sampled windows fit, and the covering words
+    sigma**m(ab) of the 2R-blocks, 2R = 2**(k + 6), are over the power cap."""
     cases = [
-        (16, "window growth exceeds cap 1048576"),
+        (16, "r**k = 2**22 exceeds cap 1048576"),
         (15, "r**k = 2**21 exceeds cap 1048576"),
     ]
     for k, text in cases:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import time
 import weakref
@@ -122,20 +123,23 @@ def first_seed(sub):
 
 
 def window_outcome(sub, seed, radius, max_len=DEFAULT_MAX_LEN):
-    """Letters of the library's window and of the oracle's, or their
-    CapacityError texts; the library's cap must be set to ``max_len``."""
+    """Letters of the library's window, or its CapacityError text, and what
+    they should be: the refusal when r**j passes ``max_len``, j the least
+    exponent with r**j >= radius, else the uncapped oracle's letters.  The
+    library's cap must be set to ``max_len``."""
     try:
         win = sub.periodic_window(seed, radius)
         assert win.origin == radius
         got = win.word.letters
     except CapacityError as err:
         got = str(err)
-    try:
-        want = oracle.periodic_window(
-            letters(sub), seed.left, seed.right, seed.period, radius, max_len
-        )
-    except CapacityError as err:
-        want = str(err)
+    r = sub.length
+    j = next(j for j in itertools.count() if r**j >= radius)
+    if r**j > max_len:
+        return got, f"r**k = {r}**{j} exceeds cap {max_len}"
+    want = oracle.periodic_window(
+        letters(sub), seed.left, seed.right, seed.period, radius, math.inf
+    )
     return got, want
 
 
@@ -185,13 +189,9 @@ class TestByteKernelsAgreeWithJoinOracle:
         while first_seed(sub) is None or first_seed(sub).period > 2:
             sub = random_substitution(rng, 3, r)
         seed = first_seed(sub)
-        # one letter grows in rounds to step**j letters; the cap sits one
-        # below such a length, so growing to exactly max_len + 1 is refused
-        step = r**seed.period
-        max_len = step * step
-        while max_len < 200:
-            max_len *= step
-        max_len -= 1
+        # the cap sits one below a power of r, so a radius whose least
+        # r**j >= radius is exactly max_len + 1 is refused
+        max_len = next(r**j for j in itertools.count() if r**j >= 200) - 1
         monkeypatch.setattr(substitution, "DEFAULT_MAX_LEN", max_len)
         refused = 0
         for radius in range(1, 3 * max_len):
@@ -201,9 +201,11 @@ class TestByteKernelsAgreeWithJoinOracle:
         assert 0 < refused < 3 * max_len - 1
 
     def test_power_cap_message(self, morse):
+        # a window is refused by the power of sigma it reads, not the period
+        assert morse.periodic_window(Seed(0, 0, 22), 4).text == "0110.0110"
         with pytest.raises(CapacityError) as err:
-            morse.periodic_window(Seed(0, 0, 22), 4)
-        assert str(err.value) == "r**k = 2**22 exceeds cap 1048576"
+            morse.periodic_window(Seed(0, 0, 22), (1 << 20) + 1)
+        assert str(err.value) == "r**k = 2**21 exceeds cap 1048576"
         with pytest.raises(CapacityError) as err:
             morse.power(21)
         assert str(err.value) == "r**k = 2**21 exceeds cap 1048576"
@@ -364,9 +366,8 @@ class TestPeriodicWindow:
     def test_huge_periods_are_checked_by_squaring(self, morse):
         # seed 0.0 of Morse is admissible exactly at even periods
         start = time.perf_counter()
-        with pytest.raises(CapacityError) as err:
-            morse.periodic_window(Seed(0, 0, 10**9), 4)
-        assert str(err.value) == "r**k = 2**1000000000 exceeds cap 1048576"
+        win = morse.periodic_window(Seed(0, 0, 10**9), 4)
+        assert win.text == morse.periodic_window(Seed(0, 0, 2), 4).text == "0110.0110"
         with pytest.raises(SeedError, match="is not admissible"):
             morse.periodic_window(Seed(0, 0, 10**9 + 1), 4)
         assert morse.periodic_seeds(10**9 + 1) == []
