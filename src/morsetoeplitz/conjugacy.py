@@ -24,13 +24,17 @@ Verification tiles each covering word of the 2R-blocks (sigma**m(ab) for
 each 2-block ab, or each block of an explicit source) once per phase and
 passes every 2R-window lying on exactly one pattern-free run of
 certificate tiles; only the other windows are parsed one by one, in sorted
-order, so a rejection still names the least failing block.  For a
+order, so a rejection still names the least failing block, by its text
+(``block:<text>``): a check on a substitution builds no language.  For a
 substitution of length r, with r**d the largest power of r dividing the
 span, the sampled windows and covering words are sigma**d of level words
 (each point is sigma**d of a level point), so a tile is fixed by its
 offset mod r**d and one level block: tile codes come from per-offset
 tables that ``bytes.find`` fills, and a phase at an offset where no
-certificate block occurs holds only code 0 and is skipped.  An explicit
+certificate block occurs holds only code 0 and is skipped.  A substitution
+keeps the level words and their key rows in its ``_level_view``, so every
+scale, both kinds and every later check reuse them, and a check builds
+only the images of sigma**d and of the keys.  An explicit
 source, like a substitution whose length does not divide the span, is its
 own level at d = 0.  Searches read no block set: they derive candidates
 from the tiles of the first word tiled (the first sampled window, else the
@@ -48,6 +52,7 @@ induced substitution on higher-block letters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
@@ -235,23 +240,33 @@ class SubstitutionSource:
     def level_words(self, span: int, radius: int):
         """At the largest d with r**d dividing the span, for length r: the
         sampled windows and the covering words sigma**m(ab) of the 2R-blocks
-        are sigma**d of level words."""
+        are sigma**d of level words, read from the substitution's
+        ``_level_view`` after the caps are checked."""
         sub, d = self.substitution, 0
         while span % sub.length ** (d + 1) == 0:
             d += 1
         size = sub.length**d
-        level_radius = -(-radius // size)
+        view = sub._level_view
+        if "seeds" not in view:
+            view["seeds"] = system_seeds(sub)
+        seeds = view["seeds"]
+        j = sub._exponent(-(-radius // size))  # the level window's exponent
         labels, words = [], []
         # The window of a seed (a, b, p) is sigma**d of the window of the seed
         # of z = sigma**e(x), e = -d mod p: see Substitution.periodic_window.
-        for seed in system_seeds(sub):
-            last, first = sub._boundary_maps(-d % seed.period)
+        # System seeds share one least period.
+        last, first = sub._boundary_maps(-d % seeds[0].period)
+        for seed in seeds:
             level = Seed(last[seed.left], first[seed.right], seed.period)
-            win = sub.periodic_window(level, level_radius)
+            key = ("window", level, j)
+            if key not in view:
+                view[key] = sub._center_image(level, j)
             labels.append(f"seed {seed}")
-            words.append((win.word.letters, -level_radius * size, -radius, radius))
-        for level in _covering_words(sub, 2 * radius, d):  # seeds checked primitivity
-            words.append((level, 0, 0, len(level) * size))
+            words.append((view[key], -(sub.length**j) * size, -radius, radius))
+        key = ("cover", sub._exponent(2 * radius) - d)  # seeds checked primitivity
+        if key not in view:
+            view[key] = _covering_words(sub, 2 * radius, d)
+        words += [(level, 0, 0, len(level) * size) for level in view[key]]
         return labels, sub._iterate(d), words
 
 
@@ -420,29 +435,55 @@ def _cut(phases, span: int, start: int, stop: int):
         yield j, t0 + first * span, row[first:last]
 
 
-def _segments(kind: _Kind, toks):
+#: Carrier state of a tile code: 0 none, 1 C0 (letter 0), 2 C1 (letter 1);
+#: ``_LETTER`` maps a state back to its letter.
+_STATE = bytes(1 if code & 1 else 2 if code & 2 else 0 for code in range(256))
+_LETTER = bytes((0, 0, 1)).ljust(256, b"\0")
+
+
+def _links(stride: int) -> bytes:
+    """By 48*a + 16*b + g, for carrier states a then b and the tile code g
+    between them: 2 where the carriers link (for Morse, g holds the gap the
+    neighbor table names), else 1 where b is a carrier, else 0."""
+    table = bytearray(256)
+    for code in range(144):
+        a, b, g = code // 48, code // 16 % 3, code % 16
+        if a and b and (stride == 1 or g >> _GAP_IDENTITY[a - 1, b - 1] & 1):
+            table[code] = 2
+        else:
+            table[code] = b > 0
+    return bytes(table)
+
+
+_LINKS = {1: _links(1), 2: _links(2)}
+
+
+def _segments(kind: _Kind, row: bytes, need: int):
     """Per carrier parity, the maximal runs [lo, hi) of one row of tile codes
     (0 off the certificate) with C0/C1 carriers and gaps that follow the
     neighbor table, widened by a certificate tile on each side for a window
-    to trim away, and their carrier letters."""
-    s, n = kind.stride, len(toks)
-    toks = list(toks) + [0] * s
-    for first_carrier in range(s):
-        first = last = -1
-        for c in range(first_carrier, n + s, s):
-            code = toks[c]
-            letter = 0 if code & 1 else 1
-            if first >= 0 and code & 3 and (
-                s == 1 or toks[c - 1] >> _GAP_IDENTITY[letters[-1], letter] & 1
-            ):
-                letters.append(letter)
-                last = c
-                continue
-            if first >= 0:
-                lo, hi = first - (toks[first - 1] > 0), last + 1 + (toks[last + 1] > 0)
-                yield lo, hi, bytes(letters)
-            first = last = c if code & 3 else -1
-            letters = bytearray((letter,))
+    to trim away, and their carrier letters: those of ``need`` tiles or
+    more.  Each carrier's link to the one before is one byte of a big-int
+    multiply-add over the carrier states and gaps, as in ``sliding._slide``
+    (no code passes 143, so no carry crosses a byte), and a run is a 1 (a
+    carrier) followed by 2s (linked carriers); a run of L carriers spans at
+    most stride*(L-1) + 3 tiles."""
+    s, n = kind.stride, len(row)
+    states = row.translate(_STATE)
+    runs = re.compile(b"\x01\x02{%d,}" % max(0, -(-(need - 3) // s)))
+    for p in range(s):
+        carriers = states[p::s]
+        code = int.from_bytes(b"\0" + carriers[:-1], "big") * 48
+        code += int.from_bytes(carriers, "big") * 16
+        if s == 2:
+            code += int.from_bytes(b"\0" + row[p + 1 :: 2][: len(carriers) - 1], "big")
+        links = code.to_bytes(len(carriers), "big").translate(_LINKS[s])
+        for run in runs.finditer(links):
+            first, last = p + s * run.start(), p + s * (run.end() - 1)
+            lo = first - (first > 0 and row[first - 1] > 0)
+            hi = last + 1 + (last + 1 < n and row[last + 1] > 0)
+            if hi - lo >= need:
+                yield lo, hi, carriers[run.start() : run.end()].translate(_LETTER)
 
 
 def _candidates(kind: _Kind, rows: Iterable[list[bytes]]) -> set:
@@ -493,7 +534,11 @@ class _Checker:
     def __init__(self, kind: _Kind, source: LanguageSource, span: int, radius: int):
         self.kind, self.source, self.span, self.radius = kind, source, span, radius
         self.labels, images, words = source.level_words(span, radius)
-        self.tiler = _Levels(images, span, words)
+        # an explicit source's windows are data: it keys them afresh
+        view = None
+        if isinstance(source, SubstitutionSource):
+            view = source.substitution._level_view
+        self.tiler = _Levels(images, span, words, view)
 
     def verdict(self, cert) -> ParseVerdict:
         kind, radius = self.kind, self.radius
@@ -513,10 +558,12 @@ class _Checker:
         return ParseVerdict(True, tuple(entries), None, kind.name, radius)
 
     def _failing_block(self, cert, rows) -> tuple[str | None, str]:
-        """Reason and label of the least failing 2R-block.
+        """Reason and label ``block:<text>`` of the least failing 2R-block.
 
         The 2R-window at s of a covering word lies in the segment [p, q) of
-        residue j iff j + (p-1)*span < s < j + (q+1)*span - 2R.  A window in
+        residue j iff j + (p-1)*span < s < j + (q+1)*span - 2R, so only a
+        segment with (q - p + 2)*span >= 2R + 2 holds one, and
+        ``_segments`` yields no shorter segment.  A window in
         exactly one segment, whose letters are free of the pattern, passes:
         its own letters are a factor of those, and 2R >= 6*span letters hold
         5 tiles at any phase, so a Morse run keeps 3 after trimming.  Every
@@ -528,13 +575,14 @@ class _Checker:
         r**m <= DEFAULT_MAX_LEN, only for k <= 4 and images of tens of
         thousands of letters."""
         kind, span, n, tiler = self.kind, self.span, 2 * self.radius, self.tiler
+        need = -(-(n + 2) // span) - 2  # q - p, for some window to lie in [p, q)
         suspects = {}  # letters -> (rows of their word, start)
         for w in range(len(self.labels), len(tiler.lengths)):
             windows = tiler.lengths[w] - n + 1
             steps = {0: [0, 0], windows: [0, 0]}  # cut -> changes of (total, dirty)
             phases = rows(w)
             for j, _, row in phases:
-                for p, q, letters in _segments(kind, row):
+                for p, q, letters in _segments(kind, bytes(row), need):
                     lo = max(j + (p - 1) * span + 1, 0)
                     hi = min(j + (q + 1) * span - n, windows)
                     if lo < hi:
@@ -554,8 +602,7 @@ class _Checker:
             phases, start = suspects[data]
             reason, _ = _evaluate(kind, cert, _cut(phases, span, start, start + n), "")
             if reason is not None:
-                i = sum(b.letters < data for b in self.source.blocks(n))
-                return reason, f"block[{i}]:{Word(self.source.alphabet, data).text}"
+                return reason, f"block:{Word(self.source.alphabet, data).text}"
         return None, ""
 
 

@@ -118,6 +118,12 @@ class Substitution:
         if k >= cap.bit_length() or self.length**k > cap:
             raise CapacityError(f"r**k = {self.length}**{k} exceeds cap {cap}")
 
+    def _exponent(self, n: int) -> int:
+        """The least m with r**m >= n, refused as ``_check_power(m)`` refuses it."""
+        m = next(m for m in itertools.count() if self.length**m >= n)
+        self._check_power(m)
+        return m
+
     def _iterate(self, k: int) -> tuple[bytes, ...]:
         """Letter images of sigma**k for k >= 0, the letters themselves at
         k = 0: the k-th image of the word of all letters, cut into r**k-blocks."""
@@ -136,6 +142,26 @@ class Substitution:
     def _covers(self) -> dict[int, bytes]:
         """By m, the covering words of r**m joined by byte 255, filled by
         ``_is_factor``."""
+        return {}
+
+    @functools.cached_property
+    def _level_view(self) -> dict:
+        """What certificate checks of every kind, span and radius share, by
+        key: ``"seeds"`` the system seeds; ``("window", s, j)`` the level
+        word of level seed s for every level radius up to r**j, sigma**j of
+        its center pair; ``("cover", e)`` the images of the 2-blocks under
+        sigma**e, the level covering words; ``("keys", c, width)`` the key
+        index of ``_Levels`` at c tiles per level block of that width, with
+        the key row of each level word tiled there.  An entry is replaced,
+        never changed, so a reader's key index and rows always agree; of two
+        checks that extend one entry at once the last write is kept, and
+        what the other added is built again when next asked.
+
+        It stays bounded whatever is asked: level seeds are letter pairs,
+        j and e are at most 20, as ``_check_power`` refuses r**21, and c
+        divides a span of at most 2**20; each key index holds blocks of the
+        language of one width.  Every value is a level word or one of its
+        rows: no image of sigma**d and no tile row is held."""
         return {}
 
     @functools.cached_property
@@ -226,14 +252,19 @@ class Substitution:
         last, first = self._boundary_maps(seed.period)
         if last[seed.left] != seed.left or first[seed.right] != seed.right:
             raise SeedError(f"seed {seed} is not admissible for {self}")
-        j = next(j for j in itertools.count() if self.length**j >= radius)
-        self._check_power(j)
+        j = self._exponent(radius)
+        half = self.length**j
+        body = self._center_image(seed, j)
+        return Window(Word(self.alphabet, body[half - radius : half + radius]), radius)
+
+    def _center_image(self, seed: Seed, j: int) -> bytes:
+        """x[-r**j : r**j] for the point x of an admissible seed: sigma**j
+        of the center pair of z = sigma**e(x), e = -j mod p."""
         last, first = self._boundary_maps(-j % seed.period)
         body = bytes((last[seed.left], first[seed.right]))
         for _ in range(j):
             body = _image(self._letters, body)
-        half = self.length**j
-        return Window(Word(self.alphabet, body[half - radius : half + radius]), radius)
+        return body
 
     # -- language ---------------------------------------------------------
 
@@ -314,9 +345,7 @@ def _covering_words(sub: Substitution, n: int, d: int = 0) -> tuple[bytes, ...]:
     exponent whose letter images have length at least n: the letters of the
     covering words of n at d = 0, and for d <= m words whose d-th images
     are those, refused where those are."""
-    m = next(m for m in itertools.count() if sub.length**m >= n)
-    sub._check_power(m)
-    pimgs = sub._iterate(m - d)
+    pimgs = sub._iterate(sub._exponent(n) - d)
     return tuple(pimgs[u] + pimgs[v] for u, v in sorted(sub._pairs))
 
 
@@ -363,8 +392,7 @@ def _blocks(sub: Substitution, n: int) -> set[bytes]:
     image of their concatenation, read at stride l * R.
     """
     r = sub.length
-    m = next(m for m in itertools.count() if r**m >= n)
-    sub._check_power(m)
+    m = sub._exponent(n)
     size = n * len(sub._pairs) * (2 * r**m - n + 1)
     if size > LANGUAGE_BYTES_CAP:
         raise CapacityError(
@@ -404,21 +432,29 @@ class _Levels:
     is all code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it
     is skipped.  Only phases of at least 3 tiles are read, as no reader
     parses a shorter run.  ``words`` are as ``LanguageSource.level_words``
-    gives them."""
+    gives them.  Given a substitution's ``_level_view``, the key index and
+    rows come from it and new ones go back to it, so only the images of
+    the keys are built per span."""
 
-    def __init__(self, images: tuple[bytes, ...], span: int, words: list[tuple]):
+    def __init__(
+        self, images: tuple[bytes, ...], span: int, words: list[tuple], view=None
+    ):
         self.span, self.size = span, len(images[0])
         self.c = c = span // self.size
         width = c + (self.size > 1)
-        index: dict[bytes, int] = {}
-        self.words = []
-        for level, base, lo, hi in words:
-            padded = level + b"\0"
-            keys = [
-                index.setdefault(padded[q : q + width], len(index))
-                for q in range(len(level) - c + 1)
-            ]
-            self.words.append((level, keys, base, lo, hi))
+        view = {} if view is None else view
+        index, rows = view.get(("keys", c, width), ({}, {}))
+        fresh = dict.fromkeys(level for level, *_ in words if level not in rows)
+        if fresh:  # a new pair, as another reader may hold the old one
+            index, rows = dict(index), dict(rows)
+            for level in fresh:
+                padded = level + b"\0"
+                rows[level] = [
+                    index.setdefault(padded[q : q + width], len(index))
+                    for q in range(len(level) - c + 1)
+                ]
+            view["keys", c, width] = index, rows
+        self.words = [(level, rows[level], *rest) for level, *rest in words]
         self.lengths = [hi - lo for *_, lo, hi in words]
         self.letter_images = images
         self.images = [self._expand(key) for key in index]

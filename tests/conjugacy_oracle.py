@@ -7,7 +7,9 @@ own, and the searches try every tuple of the reference word's tiles in
 lexicographic order, so they are slow but independent of the fast paths
 they check.  ``candidates`` is
 the pairwise candidate loop that the searches' single-tile pass replaced,
-and ``Slices`` the span-slice tiler that the level view replaced.
+``Slices`` the span-slice tiler that the level view replaced, and
+``segments`` the tile-by-tile segment walk that the byte kernel
+``conjugacy._segments`` replaced.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def _test_windows(source: LanguageSource, radius: int):
     yield from source.sample_windows(radius)
     blocks = source.blocks(2 * radius)
     if blocks:
-        for i, b in enumerate(sorted(blocks)):
-            yield f"block[{i}]:{b.text}", Window(b, len(b) // 2)
+        for b in sorted(blocks):
+            yield f"block:{b.text}", Window(b, len(b) // 2)
 
 
 _DEPTH_NONE = 0
@@ -383,3 +385,28 @@ class Slices:
         return lambda w: [
             (j, t0, [table[i] for i in row]) for j, t0, row in self.phases[w]
         ]
+
+
+def segments(kind, toks):
+    """Per carrier parity, the maximal runs [lo, hi) of one row of tile codes
+    (0 off the certificate) with C0/C1 carriers and gaps that follow the
+    neighbor table, widened by a certificate tile on each side for a window
+    to trim away, and their carrier letters, walked one tile at a time."""
+    s, n = kind.stride, len(toks)
+    toks = list(toks) + [0] * s
+    for first_carrier in range(s):
+        first = last = -1
+        for c in range(first_carrier, n + s, s):
+            code = toks[c]
+            letter = 0 if code & 1 else 1
+            if first >= 0 and code & 3 and (
+                s == 1 or toks[c - 1] >> _GAP_TABLE[letters[-1], letter][0] & 1
+            ):
+                letters.append(letter)
+                last = c
+                continue
+            if first >= 0:
+                lo, hi = first - (toks[first - 1] > 0), last + 1 + (toks[last + 1] > 0)
+                yield lo, hi, bytes(letters)
+            first = last = c if code & 3 else -1
+            letters = bytearray((letter,))

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import morsetoeplitz
-from morsetoeplitz import LocalRule, Seed, rule_to_json
+from morsetoeplitz import LocalRule, Seed, rule_to_json, substitution
 from morsetoeplitz.cli import main
 from morsetoeplitz.words import BINARY
 
@@ -385,6 +385,25 @@ class TestVerifyCert:
         )
         assert result.exit_code == 1
         assert result.output.startswith("rejected: token_pattern (")
+
+    def test_block_rejection_names_the_block_and_builds_no_language(
+        self, runner, monkeypatch
+    ):
+        """Every seed window of radius 12 parses, and a covering-word window
+        fails: it is named by its text, with no language read to rank it,
+        so a language cap of 0 bytes changes nothing."""
+        monkeypatch.setattr(substitution, "LANGUAGE_BYTES_CAP", 0)
+        cert = (
+            '{"kind": "morse", "k": 2, "C0": "0001", "C1": "0101",'
+            ' "C0p": "0001", "C1p": "0001"}'
+        )
+        result = invoke(
+            runner, "verify-cert", "--cert", cert,
+            "--sub", TOEPLITZ_SPEC, "--radius", "12",
+        )
+        assert result.exit_code == 1
+        block = "000101010001010100010101"
+        assert result.output == f"rejected: token_pattern (block:{block})\n"
 
     def test_morse_certificate_from_file(self, runner, tmp_path):
         path = tmp_path / "cert.json"

@@ -1,7 +1,12 @@
 """Covering-word verification and derived-candidate searches against the
 block-by-block and enumerate-then-verify oracles in ``conjugacy_oracle``."""
 
+import pickle
 import random
+import re
+import sys
+import threading
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import pytest
@@ -9,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import conjugacy_oracle as oracle
 import substitution_oracle
-from morsetoeplitz import conjugacy
+import test_census
+from morsetoeplitz import conjugacy, patterns, substitution
 from morsetoeplitz import (
     BINARY,
     MORSE,
@@ -260,7 +266,9 @@ def test_explicit_block_failures_name_the_least_block():
     kind, source, cert, radius = EXPLICIT_CASES[-1]
     verdict = verify_toeplitz_certificate(source, cert, radius)
     assert not verdict.accepted
-    assert verdict.detail.startswith("block[")
+    assert verdict.detail.startswith("block:")
+    text = verdict.detail.removeprefix("block:")
+    assert text in {b.text for b in source.blocks(2 * radius)}
 
 
 def flipped_morse_windows():
@@ -351,6 +359,128 @@ def test_level_verdicts_agree(name, k):
         # radii on the r**d grid and off it
         for radius in (3 * span + 1, 4 * span, 7 * span - 1):
             assert_same_verdict(kind, sub, cert, radius)
+
+
+def fresh(sub):
+    """An equal substitution with a cold level view of its own."""
+    return Substitution(sub.alphabet, sub.images)
+
+
+SEARCHES = {"toeplitz": search_toeplitz_certificate, "morse": search_morse_certificate}
+
+
+def level_requests(sub, seed):
+    """Verifications at k <= 4, at the default radius and at radii on the
+    r**d grid and off it, and searches to kmax 4, in a shuffled order: the
+    windows of both seed parities (d even and odd) come and go."""
+    requests = [(kind, None, 4) for kind in SEARCHES]
+    for k in range(5):
+        span = 1 << k
+        for cert in level_certificates(sub, k):
+            kind = "toeplitz" if isinstance(cert, ToeplitzCertificate) else "morse"
+            for radius in (None, 3 * span + 1, 5 * span):
+                requests.append((kind, cert, radius))
+    random.Random(seed).shuffle(requests)
+    return requests
+
+
+def answer(sub, request):
+    kind, cert, radius = request
+    if cert is None:
+        return outcome(SEARCHES[kind], sub, radius)
+    return fields(KINDS[kind][1](sub, cert, radius))
+
+
+@pytest.mark.parametrize("name", LEVEL_SYSTEMS)
+def test_warm_level_view_answers_as_a_cold_one(name):
+    """Every answer on one substitution, whose level view fills as the
+    requests come, equals the answer on an equal substitution with a cold
+    view, serially and from four threads sharing one view; each key index
+    still numbers its keys 0, 1, 2, ..."""
+    sub = fresh(LEVEL_SYSTEMS[name])
+    requests = level_requests(sub, name)
+    cold = [answer(fresh(sub), request) for request in requests]
+    assert [answer(sub, request) for request in requests] == cold
+    shared, got = fresh(sub), {}
+
+    def run(part):
+        for i in part:
+            got[i] = answer(shared, requests[i])
+
+    parts = [range(i, len(requests), 4) for i in range(4)]
+    threads = [threading.Thread(target=run, args=(part,)) for part in parts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the key-row builds
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [got.get(i) for i in range(len(requests))] == cold
+    for key, entry in shared._level_view.items():
+        if key[0] == "keys":
+            assert sorted(entry[0].values()) == list(range(len(entry[0]))), key
+
+
+def test_level_view_entries_are_replaced_not_changed():
+    """A check that keys new level words builds a new key index and row
+    set and leaves the pair that another check may still hold as it was,
+    so no two keys ever share an id."""
+    sub = fresh(MORSE)
+    cert = identity("morse", sub, 2)
+    assert verify_morse_certificate(sub, cert, 13).accepted
+    held = sub._level_view["keys", 1, 2]
+    index, rows = dict(held[0]), dict(held[1])
+    assert verify_morse_certificate(sub, cert, 300).accepted  # longer windows
+    assert held == (index, rows)
+    new_index, new_rows = sub._level_view["keys", 1, 2]
+    assert new_rows.keys() > rows.keys()
+    assert sorted(new_index.values()) == list(range(len(new_index)))
+
+
+def test_warm_level_view_refuses_as_a_cold_one(monkeypatch):
+    """The caps are checked on every call, before the view is read: a cap
+    below the covering words' r**10, then below the level windows' r**5,
+    refuses a k = 4 check whose words are all held; a scan cap below the
+    covering words' 128 tiles at k = 0 refuses their segment scan."""
+    sub = parse_substitution("0->01;1->10")
+    cert = identity("morse", sub, 4)
+    assert verify_morse_certificate(sub, cert).accepted
+    for cap, text in ((1 << 9, "2**10 exceeds cap 512"), (16, "2**5 exceeds cap 16")):
+        monkeypatch.setattr(substitution, "DEFAULT_MAX_LEN", cap)
+        for system in (sub, fresh(sub)):
+            with pytest.raises(CapacityError, match=re.escape(f"r**k = {text}")):
+                verify_morse_certificate(system, cert)
+    monkeypatch.undo()
+    cert = identity("toeplitz", TOEPLITZ, 0)
+    assert verify_toeplitz_certificate(TOEPLITZ, cert).accepted
+    monkeypatch.setattr(patterns, "DEFAULT_SCAN_CAP", 127)
+    for system in (TOEPLITZ, fresh(TOEPLITZ)):
+        text = "^word of length 128 exceeds scan cap 127$"
+        with pytest.raises(CapacityError, match=text):
+            verify_toeplitz_certificate(system, cert)
+
+
+def test_level_view_stays_small():
+    """A kmax-14 search leaves level words and key rows only: every scale
+    reads the same level words, and no image of sigma**d (2**14 letters a
+    letter at k = 14) or tile row is held.  The view is measured as a copy
+    rebuilt from its pickle, as tracing the search would take ten times as
+    long."""
+    sub = fresh(TOEPLITZ)
+    assert search_morse_certificate(sub, 14) is None
+    data = pickle.dumps(sub._level_view)
+    tracemalloc.start()
+    try:
+        view = pickle.loads(data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert view.keys() == sub._level_view.keys()
+    assert held < 32 * 2**10
 
 
 def assert_same_rows(source, span, radius, covers, certs):
@@ -542,8 +672,90 @@ def test_interval_pass_agrees_with_every_window(seed):
     least that fails."""
     for case, (kind, source, cert, radius) in enumerate(flipped_slice_cases(100, seed)):
         verdict = KINDS[kind][1](source, cert, radius)
-        assert verdict.accepted or verdict.detail.startswith("block["), case
+        assert verdict.accepted or verdict.detail.startswith("block:"), case
         assert fields(verdict) == fields(KINDS[kind][2](source, cert, radius)), case
+
+
+# -- the segment kernel against the tile-by-tile walk ------------------------
+
+
+def assert_kernel_rows(kind, rows, needs):
+    """The kernel yields exactly the walk's segments of ``need`` tiles or
+    more, in the walk's order, for every need given."""
+    for row in rows:
+        walked = list(oracle.segments(kind, row))
+        for need in needs(row):
+            long = [seg for seg in walked if seg[1] - seg[0] >= need]
+            kernel = conjugacy._segments(kind, bytes(row), need)
+            assert list(kernel) == long, (row, need)
+
+
+@pytest.mark.parametrize("kind", [_TOEPLITZ, _MORSE], ids=["toeplitz", "morse"])
+def test_segment_kernel_on_random_rows(kind):
+    """Rows of codes 0-15 of up to 40 tiles, most of them carriers so that
+    runs grow long, at every need from 2 past the row's length."""
+    rng = random.Random(37)
+    rows = [b"", b"\x01", b"\x02\x01", bytes(range(16))]
+    for _ in range(1500):
+        weights = rng.choice([(1,) * 16, (1, 8, 8, 4) * 4])
+        rows.append(bytes(rng.choices(range(16), weights, k=rng.randrange(41))))
+    assert_kernel_rows(kind, rows, lambda row: range(2, len(row) + 4))
+
+
+def census_rows(sub, kind, k):
+    """Every row of tile codes of every word that verifying the candidates
+    of a search at scale k tiles."""
+    span = 1 << k
+    checker = conjugacy._Checker(kind, SubstitutionSource(sub), span, 32 * span)
+    for blocks in sorted(_candidates(kind, checker.tiler.tiles(0))):
+        cert = kind.certificate(k, *(Word(sub.alphabet, b) for b in blocks))
+        rows = checker.tiler.coder(cert)
+        for w in range(len(checker.tiler.lengths)):
+            yield from (row for _, _, row in rows(w))
+
+
+@pytest.mark.parametrize("kind", [_TOEPLITZ, _MORSE], ids=["toeplitz", "morse"])
+def test_segment_kernel_on_census_rows(kind):
+    """Every row the census's candidate certificates produce at k <= 2, at
+    small needs and at the block stage's own, 2R = 64*span."""
+    for sub in test_census.CENSUS + test_census.CENSUS_4:
+        for k in range(3):
+            needs = sorted({2, 3, 4, 5, -(-(64 * (1 << k) + 2) // (1 << k)) - 2})
+            assert_kernel_rows(kind, census_rows(sub, kind, k), lambda row: needs)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_block_stage_parses_what_the_walk_leaves(seed, monkeypatch):
+    """With every segment the walk finds in place of the kernel's long ones,
+    the block stage parses the same windows one by one, so the kernel drops
+    no segment that holds a 2R-window: the flipped slices and the level
+    systems' certificates at radii near three tiles."""
+    parsed, evaluate = [], conjugacy._evaluate
+
+    def counted(*args):
+        parsed.append(args[3])
+        return evaluate(*args)
+
+    monkeypatch.setattr(conjugacy, "_evaluate", counted)
+    cases = list(flipped_slice_cases(40, seed))
+    for sub in LEVEL_SYSTEMS.values():
+        for cert in level_certificates(sub, 1 + seed):
+            kind = "toeplitz" if isinstance(cert, ToeplitzCertificate) else "morse"
+            cases += [(kind, sub, cert, radius * cert.span) for radius in (3, 4)]
+
+    def answers():
+        out = []
+        for kind, source, cert, radius in cases:
+            parsed.clear()
+            out.append((fields(KINDS[kind][1](source, cert, radius)), len(parsed)))
+        return out
+
+    kernel = answers()
+    assert sum(count for _, count in kernel) > len(cases)
+    monkeypatch.setattr(
+        conjugacy, "_segments", lambda kind, row, need: oracle.segments(kind, row)
+    )
+    assert answers() == kernel
 
 
 # -- parse_phases and desubstitute against the slice oracle ------------------
