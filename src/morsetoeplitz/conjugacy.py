@@ -2,7 +2,8 @@
 
 A system is handed to the verifiers as a language source: either a
 primitive substitution (windows come from its periodic seeds and blocks
-from its language) or an explicit provider of windows and block sets.  All
+from its language) or an explicit provider of windows and block sets.  A
+check reads the words of a source only through its ``level_words``.  All
 checks are finite: they test every sampled window out to a radius R plus
 every language block of length 2R.
 
@@ -23,27 +24,29 @@ by raw block value, since C0' or C1' may coincide with C0 or C1.
 Verification tiles each covering word of the 2R-blocks (sigma**m(ab) for
 each 2-block ab, or each block of an explicit source) once per phase and
 passes every 2R-window lying on exactly one pattern-free run of
-certificate tiles; only the other windows are parsed one by one, in sorted
-order, so a rejection still names the least failing block, by its text
-(``block:<text>``): a check on a substitution builds no language.  For a
-substitution of length r, with r**d the largest power of r dividing the
-span, the sampled windows and covering words are sigma**d of level words
-(each point is sigma**d of a level point), so a tile is fixed by its
-offset mod r**d and one level block: tile codes come from per-offset
-tables that ``bytes.find`` fills, and a phase at an offset where no
-certificate block occurs holds only code 0 and is skipped.  A substitution
-keeps the level words and their key rows in its ``_level_view``, so every
-scale, both kinds and every later check reuse them, and a check builds
-only the images of sigma**d and of the keys.  An explicit
-source, like a substitution whose length does not divide the span, is its
-own level at d = 0.  Searches read no block set: they derive candidates
-from the tiles of the first word tiled (the first sampled window, else the
-least 2R-block), blocks of the system that any accepted certificate must
-parse: C0/C1 are the two carrier tiles of a phase, C0'/C1' its gaps by the
-neighbor table.  When every phase holds 18 tiles or more, as on a
-substitution source, this set holds every certificate that can be
-accepted, so verifying it in lexicographic order returns the least one.  A
-scale with neither word is skipped, as verification there refuses it.
+certificate tiles; only the other windows are parsed one by one, in
+sorted order, so a rejection still names the least failing block, by its
+text (``block:<text>``): a check on a substitution builds no
+language.  Window parses and covering-word runs read rows of tile codes
+through one link kernel, ``_links``.  For a substitution of length r,
+with r**d the largest power of r dividing the span, the sampled windows
+and covering words are sigma**d of level words (each point is sigma**d
+of a level point), so a tile is fixed by its offset mod r**d and one
+level block: tile codes come from per-offset tables that ``bytes.find``
+fills, and a phase at an offset where no certificate block occurs holds
+only code 0 and is skipped.  A substitution keeps the level words and
+their key rows in its ``_level_view``, so every scale, both kinds and
+every later check reuse them, and a check builds only the images of
+sigma**d and of the keys.  An explicit source, like a substitution whose
+length does not divide the span, is its own level at d = 0.  Searches
+read no block set: they derive candidates from the tiles of the first
+word tiled (the first sampled window, else the least 2R-block), blocks
+of the system that any accepted certificate must parse: C0/C1 are the
+two carrier tiles of a phase, C0'/C1' its gaps by the neighbor
+table.  When every phase holds 18 tiles or more, as on a substitution
+source, this set holds every certificate that can be accepted, so
+verifying it in lexicographic order returns the least one.  A scale with
+neither word is skipped, as verification there refuses it.
 
 ``derive_substitution`` runs the constructive direction: from a block rule
 realizing a conjugacy onto an r-fold self-similar image it builds the
@@ -204,8 +207,6 @@ class LanguageSource(Protocol):
 
     def blocks(self, n: int) -> frozenset[Word] | None: ...
 
-    def sample_windows(self, radius: int) -> list[tuple[str, Window]]: ...
-
     def level_words(
         self, span: int, radius: int
     ) -> tuple[list[str], tuple[bytes, ...], list[tuple]]:
@@ -213,7 +214,8 @@ class LanguageSource(Protocol):
         whose length divides the span, and the words to tile: the sampled
         windows, then words whose 2R-factors are the 2R-blocks.  A word is
         (level letters, bilateral index of their image's first letter,
-        bilateral bounds [lo, hi) of the span tiled)."""
+        bilateral bounds [lo, hi) of the span tiled).  This is the only way
+        a check reads the words of a source."""
         ...
 
 
@@ -229,13 +231,6 @@ class SubstitutionSource:
 
     def blocks(self, n: int) -> frozenset[Word] | None:
         return self.substitution.language(n)
-
-    def sample_windows(self, radius: int) -> list[tuple[str, Window]]:
-        sub = self.substitution
-        return [
-            (f"seed {seed}", sub.periodic_window(seed, radius))
-            for seed in system_seeds(sub)
-        ]
 
     def level_words(self, span: int, radius: int):
         """At the largest d with r**d dividing the span, for length r: the
@@ -291,17 +286,14 @@ class ExplicitSource:
     def blocks(self, n: int) -> frozenset[Word] | None:
         return self.blocks_by_length.get(n)
 
-    def sample_windows(self, radius: int) -> list[tuple[str, Window]]:
-        return [(f"window[{i}]", w) for i, w in enumerate(self.windows)]
-
     def level_words(self, span: int, radius: int):
-        """Identity images: the windows, then each 2R-block as its own word."""
-        samples = self.sample_windows(radius)
-        words = [(w.word.letters, w.start, w.start, w.stop) for _, w in samples]
+        """Identity images: the windows, labelled ``window[i]``, then each
+        2R-block as its own word."""
+        words = [(w.word.letters, w.start, w.start, w.stop) for w in self.windows]
         blocks = sorted(self.blocks(2 * radius) or ())
         words += [(b.letters, 0, 0, len(b)) for b in blocks]
         images = tuple(bytes((a,)) for a in range(self.alphabet.size))
-        return [label for label, _ in samples], images, words
+        return [f"window[{i}]" for i in range(len(self.windows))], images, words
 
 
 def as_source(lang) -> LanguageSource:
@@ -379,29 +371,56 @@ _GAP_IDENTITY = {(1, 1): 0, (0, 0): 1, (1, 0): 2, (0, 1): 3}
 _DEPTH_REASON = (NO_PHASE, TOKEN_PATTERN, TOKEN_PATTERN, GAP_RULE)
 
 
-def _run(toks: list, i0: int, stride: int) -> list:
-    """Tokens from carrier position i0 to the last carrier position."""
-    return toks[i0 : i0 + (len(toks) - i0 - 1) // stride * stride + 1]
+#: Carrier state of a tile code: 0 none, 1 C0 (letter 0), 2 C1 (letter 1);
+#: ``_LETTER`` maps a state back to its letter.
+_STATE = bytes(1 if code & 1 else 2 if code & 2 else 0 for code in range(256))
+_LETTER = bytes((0, 0, 1)).ljust(256, b"\0")
+
+#: By 48*a + 16*b + g, for carrier states a then b and the tile code g
+#: between them, per stride: 2 where the carriers link (for Morse, g holds
+#: the gap the neighbor table names), else 1 where b is a carrier, else 0.
+_LINKS = {
+    s: bytes(
+        2 if a and b and (s == 1 or g >> _GAP_IDENTITY[a - 1, b - 1] & 1) else b > 0
+        for a, b, g in ((code // 48, code // 16 % 3, code % 16) for code in range(144))
+    ).ljust(256, b"\0")
+    for s in (1, 2)
+}
 
 
-def _conditions(kind: _Kind, run: list) -> tuple[int, bytes]:
-    """Depth reached on a run of tile codes from carrier to carrier, and
-    its parse tokens, gap tokens being neighbor-table identities."""
-    if len(run) < 3:
+def _links(kind: _Kind, row: bytes, p: int) -> tuple[bytes, bytes]:
+    """Carrier states of a row of tile codes (0 off the certificate) at p,
+    p + stride, ..., and each carrier's link to the one before, one byte of
+    a big-int multiply-add over the carrier states and gaps, as in
+    ``sliding._slide`` (no code passes 143, so no carry crosses a byte)."""
+    s = kind.stride
+    carriers = row[p::s].translate(_STATE)
+    code = int.from_bytes(b"\0" + carriers[:-1], "big") * 48
+    code += int.from_bytes(carriers, "big") * 16
+    if s == 2:
+        code += int.from_bytes(b"\0" + row[p + 1 :: 2][: len(carriers) - 1], "big")
+    return carriers, code.to_bytes(len(carriers), "big").translate(_LINKS[s])
+
+
+def _conditions(kind: _Kind, row: bytes, i0: int) -> tuple[int, bytes]:
+    """Depth reached on the run of tile codes from carrier position i0 to
+    the last carrier position, and its parse tokens, gap tokens being
+    neighbor-table identities."""
+    carriers, links = _links(kind, row, i0)
+    if kind.stride * (len(carriers) - 1) < 2:
         return 0, b""
-    carriers = run[:: kind.stride]
-    if not all(c & 3 for c in carriers):
+    if 0 in carriers:
         return 1, b""
-    letters = bytes(0 if c & 1 else 1 for c in carriers)
+    letters = carriers.translate(_LETTER)
     if kind.pattern(Word(BINARY, letters)) is not None:
         return 2, letters
     if kind is _TOEPLITZ:
         return 4, letters
-    gaps = bytes(_GAP_IDENTITY[pair] for pair in zip(letters, letters[1:]))
-    if not all(code >> gap & 1 for code, gap in zip(run[1::2], gaps)):
+    if 1 in links[1:]:
         return 3, b""
-    tokens = bytearray(run)
-    tokens[::2], tokens[1::2] = letters, gaps
+    tokens = bytearray(2 * len(letters) - 1)
+    tokens[::2] = letters
+    tokens[1::2] = bytes(_GAP_IDENTITY[pair] for pair in zip(letters, letters[1:]))
     return 4, bytes(tokens)
 
 
@@ -409,9 +428,9 @@ def _evaluate(kind: _Kind, cert, phases, label: str):
     """Failure reason of one window, or the parse it is accepted with."""
     depth, entries = 0, []
     for j, t0, toks in phases:
-        for parity in range(kind.stride) if all(toks) else ():
+        for parity in range(kind.stride) if 0 not in toks else ():
             i0 = ((t0 - j) // cert.span - parity) % kind.stride
-            d, tokens = _conditions(kind, _run(toks, i0, kind.stride))
+            d, tokens = _conditions(kind, toks, i0)
             depth = max(depth, d)
             if d == 4 or (d == 2 and kind is _TOEPLITZ):
                 mark = parity if kind is _MORSE else None
@@ -435,49 +454,17 @@ def _cut(phases, span: int, start: int, stop: int):
         yield j, t0 + first * span, row[first:last]
 
 
-#: Carrier state of a tile code: 0 none, 1 C0 (letter 0), 2 C1 (letter 1);
-#: ``_LETTER`` maps a state back to its letter.
-_STATE = bytes(1 if code & 1 else 2 if code & 2 else 0 for code in range(256))
-_LETTER = bytes((0, 0, 1)).ljust(256, b"\0")
-
-
-def _links(stride: int) -> bytes:
-    """By 48*a + 16*b + g, for carrier states a then b and the tile code g
-    between them: 2 where the carriers link (for Morse, g holds the gap the
-    neighbor table names), else 1 where b is a carrier, else 0."""
-    table = bytearray(256)
-    for code in range(144):
-        a, b, g = code // 48, code // 16 % 3, code % 16
-        if a and b and (stride == 1 or g >> _GAP_IDENTITY[a - 1, b - 1] & 1):
-            table[code] = 2
-        else:
-            table[code] = b > 0
-    return bytes(table)
-
-
-_LINKS = {1: _links(1), 2: _links(2)}
-
-
 def _segments(kind: _Kind, row: bytes, need: int):
     """Per carrier parity, the maximal runs [lo, hi) of one row of tile codes
-    (0 off the certificate) with C0/C1 carriers and gaps that follow the
-    neighbor table, widened by a certificate tile on each side for a window
-    to trim away, and their carrier letters: those of ``need`` tiles or
-    more.  Each carrier's link to the one before is one byte of a big-int
-    multiply-add over the carrier states and gaps, as in ``sliding._slide``
-    (no code passes 143, so no carry crosses a byte), and a run is a 1 (a
-    carrier) followed by 2s (linked carriers); a run of L carriers spans at
-    most stride*(L-1) + 3 tiles."""
+    with C0/C1 carriers and gaps that follow the neighbor table, widened by
+    a certificate tile on each side for a window to trim away, and their
+    carrier letters: those of ``need`` tiles or more.  A run is a 1 (a
+    carrier) followed by 2s (linked carriers) in ``_links``; a run of L
+    carriers spans at most stride*(L-1) + 3 tiles."""
     s, n = kind.stride, len(row)
-    states = row.translate(_STATE)
     runs = re.compile(b"\x01\x02{%d,}" % max(0, -(-(need - 3) // s)))
     for p in range(s):
-        carriers = states[p::s]
-        code = int.from_bytes(b"\0" + carriers[:-1], "big") * 48
-        code += int.from_bytes(carriers, "big") * 16
-        if s == 2:
-            code += int.from_bytes(b"\0" + row[p + 1 :: 2][: len(carriers) - 1], "big")
-        links = code.to_bytes(len(carriers), "big").translate(_LINKS[s])
+        carriers, links = _links(kind, row, p)
         for run in runs.finditer(links):
             first, last = p + s * run.start(), p + s * (run.end() - 1)
             lo = first - (first > 0 and row[first - 1] > 0)
@@ -502,7 +489,7 @@ def _candidates(kind: _Kind, rows: Iterable[list[bytes]]) -> set:
     out = set()
     for row in rows:
         for i0 in range(kind.stride):
-            run = _run(row, i0, kind.stride)
+            run = row[i0 : i0 + (len(row) - i0 - 1) // kind.stride * kind.stride + 1]
             carriers = run[:: kind.stride]
             seen = set(carriers)
             if len(run) < 3 or len(seen) != 2:
@@ -582,7 +569,7 @@ class _Checker:
             steps = {0: [0, 0], windows: [0, 0]}  # cut -> changes of (total, dirty)
             phases = rows(w)
             for j, _, row in phases:
-                for p, q, letters in _segments(kind, bytes(row), need):
+                for p, q, letters in _segments(kind, row, need):
                     lo = max(j + (p - 1) * span + 1, 0)
                     hi = min(j + (q + 1) * span - n, windows)
                     if lo < hi:

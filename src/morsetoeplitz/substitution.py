@@ -489,7 +489,7 @@ class _Levels:
             yield [cut[key] for key in keys]
 
     def coder(self, cert):
-        """Rows of tile codes of word w, as (phase, start, row) at every
+        """Byte rows of tile codes of word w, as (phase, start, row) at every
         phase whose offset holds a certificate tile."""
         size, stop = self.size, self.size + self.span - 1
         tables: dict[int, bytearray] = {}
@@ -501,7 +501,7 @@ class _Levels:
                     o = image.find(block.letters, o + 1, stop)
         js = [t * size + o for t in range(self.c) for o in sorted(tables)]
         return lambda w: [
-            (j, t0, [tables[o][key] for key in keys])
+            (j, t0, bytes([tables[o][key] for key in keys]))
             for j, t0, o, keys in self._phases(w, js)
         ]
 

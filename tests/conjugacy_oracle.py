@@ -9,7 +9,10 @@ they check.  ``candidates`` is
 the pairwise candidate loop that the searches' single-tile pass replaced,
 ``Slices`` the span-slice tiler that the level view replaced, and
 ``segments`` the tile-by-tile segment walk that the byte kernel
-``conjugacy._segments`` replaced.
+``conjugacy._segments`` replaced, ``conditions`` the carrier-by-carrier
+walk that ``conjugacy._conditions`` replaced with the same kernel's links,
+and ``sample_windows`` the seed windows a substitution source built with
+``periodic_window`` before sources handed out level words only.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from morsetoeplitz.conjugacy import (
     MorseCertificate,
     ParseVerdict,
     PhaseParse,
+    SubstitutionSource,
     ToeplitzCertificate,
     as_source,
 )
 from morsetoeplitz.errors import CapacityError, RangeError
 from morsetoeplitz.patterns import find_even_square, find_overlap
-from morsetoeplitz.substitution import DEFAULT_MAX_LEN
+from morsetoeplitz.substitution import DEFAULT_MAX_LEN, system_seeds
 from morsetoeplitz.words import BINARY, Window, Word
 
 # nearest neighbor table: (left carrier, right carrier) -> (identity, block attr)
@@ -111,8 +115,26 @@ def verify_toeplitz_certificate(
     return ParseVerdict(True, tuple(entries), None, "toeplitz", radius)
 
 
+def sample_windows(source: LanguageSource, radius: int) -> list[tuple[str, Window]]:
+    """(label, window) of each sampled window: for a substitution, its
+    ``periodic_window`` at each system seed, a path independent of its
+    level words; for another source, its own windows, read off its level
+    words under identity images."""
+    if isinstance(source, SubstitutionSource):
+        sub = source.substitution
+        return [
+            (f"seed {seed}", sub.periodic_window(seed, radius))
+            for seed in system_seeds(sub)
+        ]
+    labels, _, words = source.level_words(1, radius)
+    return [
+        (label, Window(Word(source.alphabet, letters), -lo))
+        for label, (letters, _, lo, _) in zip(labels, words)
+    ]
+
+
 def _test_windows(source: LanguageSource, radius: int):
-    yield from source.sample_windows(radius)
+    yield from sample_windows(source, radius)
     blocks = source.blocks(2 * radius)
     if blocks:
         for b in sorted(blocks):
@@ -244,7 +266,7 @@ def _reference(source: LanguageSource, span: int, radius: int):
     """The reference word, the first sampled window or else the least
     2R-block, and its distinct span-tiles, sorted: the searches draw their
     candidate blocks from these, as ``conjugacy`` does, not from a block set."""
-    windows = [win for _, win in source.sample_windows(radius)]
+    windows = [win for _, win in sample_windows(source, radius)]
     windows += [Window(b, 0) for b in sorted(source.blocks(2 * radius) or ())]
     if not windows:
         return None, []
@@ -294,6 +316,35 @@ def search_morse_certificate(lang, kmax: int) -> MorseCertificate | None:
     return None
 
 
+def _run(toks, i0: int, stride: int):
+    """Tokens from carrier position i0 to the last carrier position."""
+    return toks[i0 : i0 + (len(toks) - i0 - 1) // stride * stride + 1]
+
+
+def conditions(kind, row: bytes, i0: int) -> tuple[int, bytes]:
+    """Depth reached on the run of tile codes from carrier position i0 to
+    the last carrier position (0 short run, 1 foreign carrier, 2 pattern, 3
+    gap rule, 4 eligible), and its parse tokens, gap tokens being
+    neighbor-table identities, walked one carrier and one gap at a time."""
+    run = _run(row, i0, kind.stride)
+    if len(run) < 3:
+        return 0, b""
+    carriers = run[:: kind.stride]
+    if not all(c & 3 for c in carriers):
+        return 1, b""
+    letters = bytes(0 if c & 1 else 1 for c in carriers)
+    if kind.pattern(Word(BINARY, letters)) is not None:
+        return 2, letters
+    if kind.stride == 1:
+        return 4, letters
+    gaps = bytes(_GAP_TABLE[pair][0] for pair in zip(letters, letters[1:]))
+    if not all(code >> gap & 1 for code, gap in zip(run[1::2], gaps)):
+        return 3, b""
+    tokens = bytearray(run)
+    tokens[::2], tokens[1::2] = letters, gaps
+    return 4, bytes(tokens)
+
+
 def candidates(kind, rows: list[list[bytes]]) -> set:
     """Block tuples that parse a window at some phase and parity, by trying
     every ordered pair (C0, C1) of the pool, the carrier tiles of a run when
@@ -302,7 +353,7 @@ def candidates(kind, rows: list[list[bytes]]) -> set:
     out = set()
     for row in rows:
         for i0 in range(kind.stride):
-            run = row[i0 : i0 + (len(row) - i0 - 1) // kind.stride * kind.stride + 1]
+            run = _run(row, i0, kind.stride)
             if len(run) < 3:
                 continue
             carriers = run[:: kind.stride]

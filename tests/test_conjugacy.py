@@ -812,14 +812,14 @@ class TestSources:
         assert isinstance(source, SubstitutionSource)
         assert source.alphabet == toeplitz.alphabet
         assert source.blocks(3) == toeplitz.language(3)
-        labels = [label for label, _ in source.sample_windows(8)]
+        labels = source.level_words(1, 8)[0]
         assert labels == ["seed (0.0, p=2)", "seed (1.0, p=2)"]
 
     def test_explicit_sources_pass_through(self):
         source = ExplicitSource(BINARY, (Window(BINARY.word("0101"), 2),))
         assert as_source(source) is source
         assert source.blocks(2) is None
-        assert [label for label, _ in source.sample_windows(4)] == ["window[0]"]
+        assert source.level_words(1, 4)[0] == ["window[0]"]
 
     def test_explicit_blocks_by_length(self):
         blocks = frozenset({BINARY.word("01"), BINARY.word("10")})

@@ -491,7 +491,7 @@ def assert_same_rows(source, span, radius, covers, certs):
     leaves out holds fewer than 3 tiles."""
     labels, images, words = source.level_words(span, radius)
     level = _Levels(images, span, words)
-    samples = source.sample_windows(radius)
+    samples = oracle.sample_windows(source, radius)
     assert labels == [label for label, _ in samples]
     windows = [win for _, win in samples] + [Window(w, 0) for w in covers]
     slices = oracle.Slices(span, windows)
@@ -554,7 +554,7 @@ def test_candidates_agree_with_the_pairwise_loop(name):
     sub = SYSTEMS[name]
     for k in range(5):
         span = 1 << k
-        _, window = SubstitutionSource(sub).sample_windows(32 * span)[0]
+        _, window = oracle.sample_windows(SubstitutionSource(sub), 32 * span)[0]
         rows = oracle.Slices(span, [window]).tiles(0)
         for kind in [_TOEPLITZ, _MORSE] + PATTERN_FREE_KINDS:
             assert _candidates(kind, rows) == oracle.candidates(kind, rows)
@@ -630,9 +630,6 @@ class SliceSource:
             for s in self.slices
             for i in range(len(s) - n + 1)
         )
-
-    def sample_windows(self, radius):
-        return [("window", self.window)]
 
     def level_words(self, span, radius):
         w = self.window
@@ -722,6 +719,57 @@ def test_segment_kernel_on_census_rows(kind):
         for k in range(3):
             needs = sorted({2, 3, 4, 5, -(-(64 * (1 << k) + 2) // (1 << k)) - 2})
             assert_kernel_rows(kind, census_rows(sub, kind, k), lambda row: needs)
+
+
+# -- the parse conditions against the carrier-by-carrier walk ----------------
+
+
+def random_code_rows(count, seed):
+    """Rows of codes 0-15 of 1-40 tiles: uniform, mostly carriers, or a
+    slice of the Morse or Toeplitz word in the codes of its identity
+    certificate (5 = C0 and C0', 10 = C1 and C1'; 1 = C0, 2 = C1) with up to
+    two codes redrawn, so that runs reach the pattern and gap checks."""
+    rng = random.Random(seed)
+    planted = [(5, MORSE), (1, TOEPLITZ)]
+    for _ in range(count):
+        size, style = rng.randrange(1, 41), rng.randrange(3)
+        if style < 2:
+            weights = (1,) * 16 if style == 0 else (1, 8, 8, 4) * 4
+            yield bytes(rng.choices(range(16), weights, k=size))
+            continue
+        zero, sub = rng.choice(planted)
+        text = sub.periodic_window(Seed(0, 0, 2), 32).word.letters
+        at = rng.randrange(len(text) - size)
+        row = bytearray(2 * zero if x else zero for x in text[at : at + size])
+        for _ in range(rng.randrange(3)):
+            row[rng.randrange(size)] = rng.randrange(16)
+        yield bytes(row)
+
+
+@pytest.mark.parametrize("kind", [_TOEPLITZ, _MORSE], ids=["toeplitz", "morse"])
+def test_conditions_kernel_on_random_rows(kind):
+    """The link kernel's depth and tokens are the walk's at every carrier
+    position of 2,000 rows and past their ends, and the rows reach
+    every depth the kind has (Toeplitz has no gap rule)."""
+    depths = set()
+    for row in random_code_rows(2000, 39):
+        for i0 in range(len(row) + kind.stride):
+            want = oracle.conditions(kind, row, i0)
+            assert conjugacy._conditions(kind, row, i0) == want, (row, i0)
+            depths.add(want[0])
+    assert depths == ({0, 1, 2, 4} if kind is _TOEPLITZ else {0, 1, 2, 3, 4})
+
+
+@pytest.mark.parametrize("kind", [_TOEPLITZ, _MORSE], ids=["toeplitz", "morse"])
+def test_conditions_kernel_on_census_rows(kind):
+    """Every row the census's candidate certificates produce at k <= 2, at
+    both carrier parities."""
+    for sub in test_census.CENSUS + test_census.CENSUS_4:
+        for k in range(3):
+            for row in census_rows(sub, kind, k):
+                for i0 in range(kind.stride):
+                    want = oracle.conditions(kind, row, i0)
+                    assert conjugacy._conditions(kind, row, i0) == want, (row, i0)
 
 
 @pytest.mark.parametrize("seed", range(2))
