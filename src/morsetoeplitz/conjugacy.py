@@ -27,17 +27,20 @@ passes every 2R-window lying on exactly one pattern-free run of
 certificate tiles; only the other windows are parsed one by one, in
 sorted order, so a rejection still names the least failing block, by its
 text (``block:<text>``): a check on a substitution builds no
-language.  Window parses and covering-word runs read rows of tile codes
-through one link kernel, ``_links``.  For a substitution of length r,
-with r**d the largest power of r dividing the span, the sampled windows
-and covering words are sigma**d of level words (each point is sigma**d
-of a level point), so a tile is fixed by its offset mod r**d and one
-level block: tile codes come from per-offset tables that ``bytes.find``
-fills, and a phase at an offset where no certificate block occurs holds
-only code 0 and is skipped.  A substitution keeps the level words and
-their key rows in its ``_level_view``, so every scale, both kinds and
-every later check reuse them, and a check builds only the images of
-sigma**d and of the keys.  An explicit source, like a substitution whose
+language.  Covering-word runs and the gap rule of a pattern-free Morse
+window parse read rows of tile codes through one link kernel, ``_links``;
+such a parse's gap tokens are one translation of the codes of its carrier
+letter pairs.  For a substitution of length r, with r**d the largest
+power of r dividing the span, the sampled windows and covering words are
+sigma**d of level words (each point is sigma**d of a level point), so a
+tile is fixed by its offset mod r**d and one level block: tile codes come
+from per-offset tables that ``bytes.find`` fills, one translation of a
+level word's key row where the keys' codes fit a byte, and a phase at an
+offset where no certificate block occurs holds only code 0 and is
+skipped.  A substitution keeps the level words and their key rows in
+its ``_level_view``, so every scale, both kinds and every later check
+reuse them, and a check builds only the images of sigma**d and of the
+keys.  An explicit source, like a substitution whose
 length does not divide the span, is its own level at d = 0.  Searches
 read no block set: they derive candidates from the tiles of the first
 word tiled (the first sampled window, else the least 2R-block), blocks
@@ -83,7 +86,7 @@ from .substitution import (
     _tile_tokens,
     system_seeds,
 )
-from .words import Alphabet, BINARY, Window, Word, json_field
+from .words import Alphabet, BINARY, Window, Word, _window_codes, json_field
 
 # failure reasons reported by the verifiers
 NO_PHASE = "no_phase"
@@ -365,6 +368,8 @@ _MORSE = _Kind("morse", MorseCertificate, 4, 2, find_overlap, MORSE_TOKENS, MORS
 #: Gap identity between two carrier letters; also the bit of the block the
 #: gap must equal in a tile code (bit 0 C0, 1 C1, 2 C0', 3 C1').
 _GAP_IDENTITY = {(1, 1): 0, (0, 0): 1, (1, 0): 2, (0, 1): 3}
+#: ``_GAP_IDENTITY`` by the code 2*a + b of the carrier letters a then b.
+_GAP = bytes(_GAP_IDENTITY[divmod(code, 2)] for code in range(4)).ljust(256, b"\0")
 
 # depth of a parse check: 0 short run, 1 foreign carrier, 2 pattern, 3 gap
 # rule, 4 eligible; a window with no eligible parse fails at the deepest one
@@ -392,7 +397,7 @@ def _links(kind: _Kind, row: bytes, p: int) -> tuple[bytes, bytes]:
     """Carrier states of a row of tile codes (0 off the certificate) at p,
     p + stride, ..., and each carrier's link to the one before, one byte of
     a big-int multiply-add over the carrier states and gaps, as in
-    ``sliding._slide`` (no code passes 143, so no carry crosses a byte)."""
+    ``_window_codes`` (no code passes 143, so no carry crosses a byte)."""
     s = kind.stride
     carriers = row[p::s].translate(_STATE)
     code = int.from_bytes(b"\0" + carriers[:-1], "big") * 48
@@ -405,8 +410,9 @@ def _links(kind: _Kind, row: bytes, p: int) -> tuple[bytes, bytes]:
 def _conditions(kind: _Kind, row: bytes, i0: int) -> tuple[int, bytes]:
     """Depth reached on the run of tile codes from carrier position i0 to
     the last carrier position, and its parse tokens, gap tokens being
-    neighbor-table identities."""
-    carriers, links = _links(kind, row, i0)
+    neighbor-table identities: one translation of the letter pairs' codes
+    through ``_GAP``.  Only a pattern-free Morse run reads its links."""
+    carriers = row[i0 :: kind.stride].translate(_STATE)
     if kind.stride * (len(carriers) - 1) < 2:
         return 0, b""
     if 0 in carriers:
@@ -416,11 +422,11 @@ def _conditions(kind: _Kind, row: bytes, i0: int) -> tuple[int, bytes]:
         return 2, letters
     if kind is _TOEPLITZ:
         return 4, letters
-    if 1 in links[1:]:
+    if 1 in _links(kind, row, i0)[1][1:]:
         return 3, b""
     tokens = bytearray(2 * len(letters) - 1)
     tokens[::2] = letters
-    tokens[1::2] = bytes(_GAP_IDENTITY[pair] for pair in zip(letters, letters[1:]))
+    tokens[1::2] = _window_codes(letters, 2, 2).translate(_GAP)
     return 4, bytes(tokens)
 
 
@@ -486,7 +492,7 @@ def _candidates(kind: _Kind, rows: Iterable[list[bytes]]) -> set:
     of 4 letters with no even-zero square holds 0 and 1, as 11 and 0000 are
     such squares.  So a pattern-free run has two carrier tiles and, for
     Morse, gaps of all four identities."""
-    out = set()
+    out, found = set(), {}  # carrier letters -> whether the scan finds the pattern
     for row in rows:
         for i0 in range(kind.stride):
             run = row[i0 : i0 + (len(row) - i0 - 1) // kind.stride * kind.stride + 1]
@@ -497,7 +503,9 @@ def _candidates(kind: _Kind, rows: Iterable[list[bytes]]) -> set:
             u, v = seen
             for c0, c1 in ((u, v), (v, u)):
                 letters = bytes(0 if t == c0 else 1 for t in carriers)
-                if kind.pattern(Word(BINARY, letters)) is not None:
+                if letters not in found:
+                    found[letters] = kind.pattern(Word(BINARY, letters)) is not None
+                if found[letters]:
                     continue
                 slots = [c0, c1] + [None] * (kind.slots - 2)
                 for i in range(1, len(run), 2) if kind.stride == 2 else ():

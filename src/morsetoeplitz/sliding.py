@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .errors import CapacityError, DomainError, RangeError
 from .substitution import DEFAULT_MAX_LEN
-from .words import Alphabet, BINARY, Window, Word, json_field, load_json
+from .words import Alphabet, BINARY, Window, Word, _window_codes, json_field, load_json
 
 _MAX_WIDTH = 16
 
@@ -94,14 +94,12 @@ class LocalRule:
         255 letters, marks undefined windows.  None when some code needs
         more than one byte.
         """
-        size = self.input_alphabet.size
-        if size**self.width > 256:
+        width = self.width
+        codes = _window_codes(b"".join(self.table), self.input_alphabet.size, width)
+        if codes is None:
             return None
         table = bytearray(b"\xff" * 256)
-        for key, value in self.table.items():
-            code = 0
-            for letter in key:
-                code = code * size + letter
+        for code, value in zip(codes[::width], self.table.values()):
             table[code] = value[0]
         return bytes(table)
 
@@ -138,14 +136,9 @@ def apply_to_word(rule: LocalRule, w: Word) -> Word:
 
 
 def _slide(rule: LocalRule, data: bytes) -> bytes:
-    """The output letter of every window of ``data``, in order.
-
-    Window i has the code c_i = sum_k data[i + k] * s**(w - 1 - k).  When
-    every code fits a byte, term k over all windows is one integer read off
-    data[k : k + len(data) - w + 1]; w big-int multiply-adds sum the terms,
-    no code overflows its byte, so no carry crosses bytes, and the
-    integer's bytes are the codes in order.  One translation maps them to
-    letters.  Wider codes go window by window.
+    """The output letter of every window of ``data``, in order: when every
+    window's code fits a byte, ``_window_codes`` gives them all and one
+    translation maps them to letters.  Wider codes go window by window.
     """
     width = rule.width
     table = rule._code_table
@@ -153,12 +146,7 @@ def _slide(rule: LocalRule, data: bytes) -> bytes:
         return b"".join(
             rule.lookup(data[i : i + width]) for i in range(len(data) - width + 1)
         )
-    count = len(data) - width + 1
-    size = rule.input_alphabet.size
-    code = 0
-    for k in range(width):
-        code = code * size + int.from_bytes(data[k : k + count], "big")
-    out = code.to_bytes(count, "big").translate(table)
+    out = _window_codes(data, rule.input_alphabet.size, width).translate(table)
     bad = out.find(255)
     if bad >= 0:
         rule.lookup(data[bad : bad + width])

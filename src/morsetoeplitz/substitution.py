@@ -40,7 +40,7 @@ from .errors import (
     RangeError,
     SeedError,
 )
-from .words import _LETTERS, Alphabet, Window, Word, _trusted_word
+from .words import _LETTERS, Alphabet, Window, Word, _trusted_word, _window_codes
 
 #: Cap on the length of any materialized word.
 DEFAULT_MAX_LEN = 1 << 20
@@ -152,10 +152,11 @@ class Substitution:
         its center pair; ``("cover", e)`` the images of the 2-blocks under
         sigma**e, the level covering words; ``("keys", c, width)`` the key
         index of ``_Levels`` at c tiles per level block of that width, with
-        the key row of each level word tiled there.  An entry is replaced,
-        never changed, so a reader's key index and rows always agree; of two
-        checks that extend one entry at once the last write is kept, and
-        what the other added is built again when next asked.
+        the key row of each level word tiled there, bytes when the keys'
+        codes fit a byte.  An entry is replaced, never changed, so a
+        reader's key index and rows always agree; of two checks that extend
+        one entry at once the last write is kept, and what the other added
+        is built again when next asked.
 
         It stays bounded whatever is asked: level seeds are letter pairs,
         j and e are at most 20, as ``_check_power`` refuses r**21, and c
@@ -424,13 +425,18 @@ class _Levels:
     never reads.  At size 1 the images are the identity, and a tile is its
     own level c-block.  Each word is the row of its level-block keys,
     indices in one dict, so a tile is one (offset, key) pair and no slice
-    is hashed per window.
+    is hashed per window.  When the keys' codes over the n letters fit a
+    byte (n**width <= 256), the row is bytes: ``_window_codes`` gives every
+    key's code and one translation maps codes to key ids, a new key taking
+    the next id at its first occurrence, as a read key by key would number
+    it.  Wider keys are read key by key into a list.
 
     A certificate block sits at offset o of a tile only where it occurs at
     o in a key's image, so ``bytes.find`` over the images gives one code
-    table per offset, and a phase whose offset holds no certificate tile
-    is all code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it
-    is skipped.  Only phases of at least 3 tiles are read, as no reader
+    table per offset, and a byte key row's codes are one translation
+    through it.  A phase whose offset holds no certificate tile is all
+    code 0: neither ``_evaluate`` nor ``_segments`` reads it, so it is
+    skipped.  Only phases of at least 3 tiles are read, as no reader
     parses a shorter run.  ``words`` are as ``LanguageSource.level_words``
     gives them.  Given a substitution's ``_level_view``, the key index and
     rows come from it and new ones go back to it, so only the images of
@@ -448,11 +454,19 @@ class _Levels:
         if fresh:  # a new pair, as another reader may hold the old one
             index, rows = dict(index), dict(rows)
             for level in fresh:
-                padded = level + b"\0"
-                rows[level] = [
-                    index.setdefault(padded[q : q + width], len(index))
-                    for q in range(len(level) - c + 1)
-                ]
+                padded = level + bytes(width - c)
+                codes = _window_codes(padded, len(images), width)
+                if codes is None:
+                    rows[level] = [
+                        index.setdefault(padded[q : q + width], len(index))
+                        for q in range(len(level) - c + 1)
+                    ]
+                else:
+                    table = bytearray(256)
+                    for q in sorted(map(codes.find, set(codes))):  # first occurrences
+                        key = padded[q : q + width]
+                        table[codes[q]] = index.setdefault(key, len(index))
+                    rows[level] = codes.translate(table)
             view["keys", c, width] = index, rows
         self.words = [(level, rows[level], *rest) for level, *rest in words]
         self.lengths = [hi - lo for *_, lo, hi in words]
@@ -497,13 +511,22 @@ class _Levels:
             for key, image in enumerate(self.images):
                 o = image.find(block.letters, 0, stop)
                 while o >= 0:
-                    tables.setdefault(o, bytearray(len(self.images)))[key] |= 1 << bit
+                    table = tables.setdefault(o, bytearray(max(len(self.images), 256)))
+                    table[key] |= 1 << bit
                     o = image.find(block.letters, o + 1, stop)
         js = [t * size + o for t in range(self.c) for o in sorted(tables)]
         return lambda w: [
-            (j, t0, bytes([tables[o][key] for key in keys]))
+            (j, t0, _translate(keys, tables[o]))
             for j, t0, o, keys in self._phases(w, js)
         ]
+
+
+def _translate(keys, table: bytearray) -> bytes:
+    """``table`` at each key of a key row: one translation of a byte row,
+    key by key for a row of wider keys."""
+    if isinstance(keys, bytes):
+        return keys.translate(table)
+    return bytes([table[key] for key in keys])
 
 
 def _tile_tokens(

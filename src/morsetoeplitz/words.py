@@ -92,6 +92,10 @@ class Word:
                 f"letter {max(self.letters)} out of range for alphabet {self.alphabet}"
             )
 
+    def __hash__(self) -> int:
+        # equal words have equal letters, so the alphabet need not be hashed
+        return hash(self.letters)
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -147,6 +151,26 @@ def _trusted_word(alphabet: Alphabet, letters: bytes) -> Word:
     object.__setattr__(word, "alphabet", alphabet)
     object.__setattr__(word, "letters", letters)
     return word
+
+
+def _window_codes(data: bytes, size: int, width: int) -> bytes | None:
+    """The base-``size`` code of every ``width``-window of ``data``, in
+    order, or None when size**width > 256: some code would need more than a
+    byte.
+
+    Window i has the code c_i = sum_k data[i + k] * size**(width - 1 - k).
+    Term k over all windows is one integer read off data[k : k + count];
+    ``width`` big-int multiply-adds sum the terms, and as no code overflows
+    its byte no carry crosses bytes, so the integer's bytes are the codes in
+    order.  An alphabet has 2 letters or more, so no code of more than 8
+    letters fits, and no large power is built to tell."""
+    if width > 8 or size**width > 256:
+        return None
+    count = max(len(data) - width + 1, 0)
+    code = 0
+    for k in range(width):
+        code = code * size + int.from_bytes(data[k : k + count], "big")
+    return code.to_bytes(count, "big")
 
 
 _SWAP01 = bytes.maketrans(b"\x00\x01", b"\x01\x00")

@@ -12,6 +12,11 @@ boundary maps instead of sweeping periods: a seed (a, b, p) is admissible
 when p is a multiple of the cycle length of a under the last-letter map and
 of b under the first-letter map.
 
+``key_row`` and ``code_rows`` are the per-position comprehensions that
+built ``_Levels``' key rows and rows of tile codes before a key row was
+one translation of its window codes and a code row one translation of its
+key row.
+
 ``covering_language`` is the read ``language`` made before it went by
 levels: the n-factors of the covering words sigma**m(ab), one per 2-block
 ab with m the least exponent such that r**m >= n, at the starts inside
@@ -32,6 +37,36 @@ def covering_language(sub, n: int) -> frozenset:
     starts = range(len(words[0]) // 2)
     blocks = {x[i : i + n] for x in words for i in starts}
     return frozenset(_trusted_word(sub.alphabet, b) for b in blocks)
+
+
+def key_row(index: dict, level: bytes, c: int, width: int) -> list[int]:
+    """The key id of each width-block of ``level`` (padded with letter 0)
+    at each of its ``len(level) - c + 1`` positions, a new key taking the
+    next id of ``index``."""
+    padded = level + b"\0"
+    return [
+        index.setdefault(padded[q : q + width], len(index))
+        for q in range(len(level) - c + 1)
+    ]
+
+
+def code_rows(tiler, cert, w: int) -> list:
+    """(phase, start, row) of word w of a ``_Levels`` at every phase whose
+    offset holds a certificate tile, each row code by code through tables
+    that ``bytes.find`` fills per offset."""
+    size, stop = tiler.size, tiler.size + tiler.span - 1
+    tables: dict = {}
+    for bit, block in enumerate(cert.blocks):
+        for key, image in enumerate(tiler.images):
+            o = image.find(block.letters, 0, stop)
+            while o >= 0:
+                tables.setdefault(o, [0] * len(tiler.images))[key] |= 1 << bit
+                o = image.find(block.letters, o + 1, stop)
+    js = [t * size + o for t in range(tiler.c) for o in sorted(tables)]
+    return [
+        (j, t0, bytes([tables[o][key] for key in keys]))
+        for j, t0, o, keys in tiler._phases(w, js)
+    ]
 
 
 def image(imgs: list[bytes], data: bytes) -> bytes:

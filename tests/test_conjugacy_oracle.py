@@ -483,6 +483,59 @@ def test_level_view_stays_small():
     assert held < 32 * 2**10
 
 
+# Length-2 presentations with many letters: 16 letters put the codes of a
+# key of 2 level letters at 256, still a byte, and 20 letters at 400.
+PRESENTATIONS = {
+    "toeplitz 4-block": parse_substitution("a->df;b->df;c->ce;d->ce;e->ab;f->ab"),
+    "morse 6-block": parse_substitution(
+        "a->fl;b->fm;c->fm;d->gn;e->gn;f->go;g->hp;h->hp;"
+        "i->ia;j->ia;k->jb;l->jc;m->jc;n->kd;o->kd;p->ke"
+    ),
+    "morse 7-block": parse_substitution(
+        "a->fp;b->gq;c->gq;d->hr;e->hr;f->is;g->is;h->jt;i->jt;j->jt;"
+        "k->ka;l->ka;m->ka;n->lb;o->lb;p->mc;q->mc;r->nd;s->nd;t->oe"
+    ),
+}
+KEY_ROW_SYSTEMS = [
+    *test_census.CENSUS, *test_census.CENSUS_4, THREE, *PRESENTATIONS.values()
+]
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_key_and_code_rows_match_the_comprehensions(part):
+    """On the census, ``three`` and the presentations, at k <= 4: every
+    phase's code row for identity, least-block and one-letter-mutated
+    certificates equals the code-by-code row; after those verifications and
+    searches to kmax 6, every key row the level view holds equals the
+    per-position row, replayed in the view's order into a fresh index that
+    ends equal to the view's.  A row is bytes exactly when the codes of
+    its keys fit a byte."""
+    seen = set()  # whether the rows of each key index fit a byte
+    for sub in map(fresh, KEY_ROW_SYSTEMS[part::4]):
+        source = SubstitutionSource(sub)
+        for k in range(5):
+            for cert in level_certificates(sub, k):
+                kind = _MORSE if isinstance(cert, MorseCertificate) else _TOEPLITZ
+                checker = conjugacy._Checker(kind, source, cert.span, 32 * cert.span)
+                tiler, rows = checker.tiler, checker.tiler.coder(cert)
+                for w in range(len(tiler.words)):
+                    assert rows(w) == substitution_oracle.code_rows(tiler, cert, w)
+                checker.verdict(cert)
+        for search in SEARCHES.values():
+            search(sub, 6)
+        for key, entry in sub._level_view.items():
+            if key[0] == "keys":
+                (_, c, width), (index, rows) = key, entry
+                replay, fits = {}, sub.alphabet.size**width <= 256
+                for level, row in rows.items():
+                    assert isinstance(row, bytes) == fits, (sub, key)
+                    assert list(row) == substitution_oracle.key_row(replay, level, c, width)
+                assert replay == index, (sub, key)
+                seen.add(fits)
+    wide = PRESENTATIONS["morse 7-block"] in KEY_ROW_SYSTEMS[part::4]
+    assert seen == ({True, False} if wide else {True})
+
+
 def assert_same_rows(source, span, radius, covers, certs):
     """Each word of the level view, its tiles and every phase kept for a
     certificate agree with the oracle ``Slices`` rows of the sampled

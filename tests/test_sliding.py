@@ -416,6 +416,20 @@ class TestKernelAgreesWithJoinOracle:
         assert outcome(apply_to_word, rule, word) == ("DomainError", text)
         assert outcome(apply_code, rule, Window(word, 0)) == ("DomainError", text)
 
+    @pytest.mark.parametrize("size", [16, 17])
+    def test_codes_at_the_byte_edge(self, size):
+        """Width 2 over 16 letters puts the largest code at 255, in the
+        kernel; over 17 letters the codes pass a byte and go window by
+        window.  Both agree with ``rule.lookup`` at every window."""
+        rng = random.Random(size)
+        pairs = [bytes(t) for t in itertools.product(range(size), repeat=2)]
+        rule = kernel_rule(rng, size, 2, 1, set(pairs), 5)
+        assert (rule._code_table is None) == (size == 17)
+        data = b"".join(rng.sample(pairs, len(pairs)))
+        data += bytes(rng.randrange(size) for _ in range(500))
+        windows = (data[i : i + 2] for i in range(len(data) - 1))
+        assert sliding._slide(rule, data) == b"".join(map(rule.lookup, windows))
+
 
 class TestSerialization:
     def test_round_trip_total_rule(self, oxtoby):

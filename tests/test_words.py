@@ -1,9 +1,12 @@
 """Alphabet, Word, and Window basics."""
 
+import functools
+import random
+
 import pytest
 
 from morsetoeplitz import Alphabet, BINARY, DomainError, RangeError, Word, parse_window
-from morsetoeplitz.words import Window
+from morsetoeplitz.words import Window, _window_codes
 
 
 class TestAlphabet:
@@ -131,6 +134,14 @@ class TestWord:
         assert words[2] not in {words[0]}
         assert words[2].letters == words[0].letters
 
+    def test_hash_reads_the_letters_only(self):
+        """Words with the same letters over different alphabets hash alike,
+        stay unequal and are kept apart in one set."""
+        words = [BINARY.word("0110"), Alphabet.from_names("ab").word("abba")]
+        assert hash(words[0]) == hash(words[1]) == hash(b"\x00\x01\x01\x00")
+        assert words[0] != words[1]
+        assert len(set(words)) == 2 and all(w in set(words) for w in words)
+
     def test_factors_length_out_of_range(self):
         w = BINARY.word("01")
         with pytest.raises(RangeError):
@@ -142,6 +153,27 @@ class TestWord:
         assert BINARY.word("0110").complement().text == "1001"
         with pytest.raises(DomainError):
             Alphabet.from_names("012").word("012").complement()
+
+
+class TestWindowCodes:
+    @pytest.mark.parametrize("size", [2, 3, 5, 16, 17, 255])
+    def test_codes_are_base_size_numbers(self, size):
+        """Each width-window's code is its letters read in base ``size``;
+        a word shorter than the width has no window, and codes past a byte
+        give None."""
+        rng = random.Random(size)
+        for width in range(1, 10):
+            for n in (0, width - 1, width, width + 1, 300):
+                data = bytes(rng.randrange(size) for _ in range(n))
+                got = _window_codes(data, size, width)
+                if size**width > 256:
+                    assert got is None
+                    continue
+                want = [
+                    functools.reduce(lambda code, a: code * size + a, data[i : i + width])
+                    for i in range(len(data) - width + 1)
+                ]
+                assert list(got) == want, (width, n)
 
 
 class TestWindow:
